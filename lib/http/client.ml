@@ -56,13 +56,5 @@ let post ?(form = []) t path =
 
 let last_bodies t = t.history
 
-let contains haystack needle =
-  let hn = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else
-    let rec scan i =
-      i + nn <= hn && (String.sub haystack i nn = needle || scan (i + 1))
-    in
-    scan 0
-
-let saw t needle = List.exists (fun body -> contains body needle) t.history
+let saw t needle =
+  List.exists (fun body -> Substring.contains body needle) t.history

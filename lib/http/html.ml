@@ -31,96 +31,138 @@ let ul items = element "ul" (String.concat "" (List.map (element "li") items))
 let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_alnum c = is_letter c || (c >= '0' && c <= '9')
 
-let lowercase_at low i prefix =
-  let n = String.length prefix in
-  i + n <= String.length low && String.sub low i n = prefix
+(* HTML attribute whitespace; browsers accept it between an attribute
+   name and its '=', so "onclick\t=" is still a handler. *)
+let is_space = function ' ' | '\t' | '\n' | '\r' | '\x0c' -> true | _ -> false
 
-(* An event-handler attribute starts at [i] if "on" appears on a word
-   boundary, followed by letters, optional spaces, then '='. Returns
-   the position just after the '=' when matched. *)
-let handler_at low i =
-  let n = String.length low in
-  let boundary = i = 0 || not (is_alnum low.[i - 1]) in
-  if (not boundary) || not (lowercase_at low i "on") then None
+(* URL parsers delete tabs and newlines anywhere in a URL, so
+   "java\tscript:" still names the javascript scheme. *)
+let is_url_noise = function '\t' | '\n' | '\r' -> true | _ -> false
+
+type script = Script_element | Event_handler | Javascript_url
+
+(* The scanning helpers below are top-level functions with every input
+   as an argument: a local closure would allocate on each call, and the
+   clean-page scan must allocate nothing. *)
+
+(* [pattern] (lowercase) matches [b] from [i + k] on, ignoring case. *)
+let rec matches_ci b i pattern k =
+  k = String.length pattern
+  || Char.lowercase_ascii (Bytes.unsafe_get b (i + k))
+     = String.unsafe_get pattern k
+     && matches_ci b i pattern (k + 1)
+
+let rec back_over pred b j =
+  if j >= 0 && pred (Bytes.unsafe_get b j) then back_over pred b (j - 1) else j
+
+(* Each construct is recognised at its last byte, reading backward
+   from [b.[e - 1]]; the recognisers return where it starts, or -1. *)
+
+let js_scheme = "javascript"
+
+(* [js_scheme.[0..k]] ends at [b.[j]], URL noise allowed between
+   letters *)
+let rec scheme_start b j k =
+  if k < 0 then j + 1
+  else if j < 0 then -1
   else
-    let rec letters j = if j < n && is_letter low.[j] then letters (j + 1) else j in
-    let j = letters (i + 2) in
-    if j = i + 2 then None
-    else
-      let rec spaces j = if j < n && low.[j] = ' ' then spaces (j + 1) else j in
-      let j = spaces j in
-      if j < n && low.[j] = '=' then Some (j + 1) else None
+    let c = Bytes.unsafe_get b j in
+    if Char.lowercase_ascii c = String.unsafe_get js_scheme k then
+      scheme_start b (j - 1) (k - 1)
+    else if is_url_noise c then scheme_start b (j - 1) k
+    else -1
 
-let contains_script html =
-  let low = String.lowercase_ascii html in
-  let n = String.length low in
-  (* [in_tag] tracks whether the scanner sits between '<' and '>':
-     event-handler attributes only matter there — "ongoing = fine" in
-     body text is not executable. *)
-  let rec scan i in_tag =
-    if i >= n then false
-    else if lowercase_at low i "<script" then true
-    else if lowercase_at low i "javascript:" then true
-    else if in_tag && handler_at low i <> None then true
-    else
-      let in_tag =
-        match low.[i] with '<' -> true | '>' -> false | _ -> in_tag
-      in
-      scan (i + 1) in_tag
-  in
-  scan 0 false
+(* "on", at least one more letter, optional whitespace, '=' — with no
+   letter or digit right before the "on". *)
+let handler_start b e =
+  let name_end = back_over is_space b (e - 2) in
+  let s = back_over is_letter b name_end + 1 in
+  if
+    name_end - s >= 2
+    && (s = 0 || not (is_alnum (Bytes.unsafe_get b (s - 1))))
+    && matches_ci b s "on" 0
+  then s
+  else -1
 
-let rec strip_scripts html =
-  let low = String.lowercase_ascii html in
-  let n = String.length low in
-  let buf = Buffer.create n in
-  (* Skip an attribute value starting right after '=': a quoted string
-     or an unquoted token. *)
-  let skip_value i =
-    let rec spaces i = if i < n && low.[i] = ' ' then spaces (i + 1) else i in
-    let i = spaces i in
-    if i >= n then i
-    else if low.[i] = '"' || low.[i] = '\'' then begin
-      let quote = low.[i] in
-      let rec find j =
-        if j >= n then n else if low.[j] = quote then j + 1 else find (j + 1)
-      in
-      find (i + 1)
-    end
-    else
-      let rec token j =
-        if j < n && low.[j] <> ' ' && low.[j] <> '>' then token (j + 1) else j
-      in
-      token i
-  in
-  let rec go i in_tag =
-    if i >= n then ()
-    else if lowercase_at low i "<script" then begin
-      (* Drop through the matching close tag, or everything if
-         unterminated. *)
-      let rec find j =
-        if j >= n then n
-        else if lowercase_at low j "</script>" then j + 9
-        else find (j + 1)
-      in
-      go (find (i + 7)) false
-    end
-    else if lowercase_at low i "javascript:" then
-      go (i + String.length "javascript:") in_tag
-    else
-      match if in_tag then handler_at low i else None with
-      | Some after_eq -> go (skip_value after_eq) in_tag
-      | None ->
-          Buffer.add_char buf html.[i];
-          let in_tag =
-            match low.[i] with '<' -> true | '>' -> false | _ -> in_tag
-          in
-          go (i + 1) in_tag
-  in
-  go 0 false;
-  let out = Buffer.contents buf in
-  (* Stripping can juxtapose fragments into new matches (e.g.
-     "<scr<script>ipt" collapsing); iterate to a fixed point. *)
-  if contains_script out then
-    if String.length out < String.length html then strip_scripts out else ""
-  else out
+(* Every construct ends in one of these bytes. *)
+let may_complete = function 't' | 'T' | ':' | '=' -> true | _ -> false
+
+(* The construct, if any, that byte [b.[e - 1]] completes, and where it
+   starts. [in_tag] says whether that byte sits between '<' and '>': a
+   handler only counts there ("ongoing = fine" in body text is not
+   executable). *)
+let completed b e ~in_tag =
+  let found kind s = if s < 0 then None else Some (kind, s) in
+  match Bytes.unsafe_get b (e - 1) with
+  | 't' | 'T' ->
+      if e >= 7 && matches_ci b (e - 7) "<script" 0 then
+        Some (Script_element, e - 7)
+      else None
+  | ':' ->
+      found Javascript_url
+        (scheme_start b (e - 2) (String.length js_scheme - 1))
+  | '=' when in_tag -> found Event_handler (handler_start b e)
+  | _ -> None
+
+(* Reads each byte once and allocates nothing. *)
+let rec scan b i in_tag =
+  i < Bytes.length b
+  &&
+  match Bytes.unsafe_get b i with
+  | '<' -> scan b (i + 1) true
+  | '>' -> scan b (i + 1) false
+  | c when may_complete c && Option.is_some (completed b (i + 1) ~in_tag) ->
+      true
+  | _ -> scan b (i + 1) in_tag
+
+let contains_script html = scan (Bytes.unsafe_of_string html) 0 false
+
+(* Skip an attribute value starting right after its '=': a quoted
+   string or an unquoted token. *)
+let skip_value html i =
+  let n = String.length html in
+  let rec skip pred j = if j < n && pred html.[j] then skip pred (j + 1) else j in
+  let i = skip is_space i in
+  if i >= n then n
+  else
+    match html.[i] with
+    | ('"' | '\'') as quote -> (
+        match String.index_from_opt html (i + 1) quote with
+        | Some j -> j + 1
+        | None -> n)
+    | _ -> skip (fun c -> c <> '>' && not (is_space c)) i
+
+(* The rewriting pass copies [html] into [out] and checks the output as
+   it grows rather than the input: a removal can join the bytes on
+   either side of it into a new construct ("<scr<script>x</script>ipt>"),
+   and the check catches that the moment its last byte is written.
+   [inside.[k]] records whether output byte [k] sits inside a tag, so a
+   removal restores the tag state at once. *)
+let rec rewrite html out inside i len in_tag =
+  if i >= String.length html then Bytes.sub_string out 0 len
+  else
+    let c = String.unsafe_get html i in
+    let in_tag = match c with '<' -> true | '>' -> false | _ -> in_tag in
+    Bytes.unsafe_set out len c;
+    Bytes.unsafe_set inside len (if in_tag then '\001' else '\000');
+    match if may_complete c then completed out (len + 1) ~in_tag else None with
+    | None -> rewrite html out inside (i + 1) (len + 1) in_tag
+    | Some (kind, s) ->
+        let resume =
+          match kind with
+          | Script_element -> (
+              (* through the close tag, or everything if unterminated *)
+              match Substring.find_ci ~from:(i + 1) html "</script>" with
+              | Some j -> j + String.length "</script>"
+              | None -> String.length html)
+          | Event_handler -> skip_value html (i + 1)
+          | Javascript_url -> i + 1
+        in
+        rewrite html out inside resume s
+          (s > 0 && Bytes.unsafe_get inside (s - 1) = '\001')
+
+let strip_scripts html =
+  if not (contains_script html) then html
+  else
+    let n = String.length html in
+    rewrite html (Bytes.create n) (Bytes.create n) 0 0 false

@@ -25,11 +25,20 @@ val link : href:string -> string -> string
 val ul : string list -> string
 
 val contains_script : string -> bool
-(** Detects [<script] tags, [on*=] event-handler attributes and
-    [javascript:] URLs, case-insensitively. *)
+(** Detects [<script] tags, [on*=] event-handler attributes inside a
+    tag and [javascript:] URLs, case-insensitively. HTML whitespace
+    (space, tab, newline, carriage return, form feed) may separate a
+    handler's name from its ['='], and tabs and newlines may sit inside
+    the [javascript:] scheme, as browsers accept both. One linear scan
+    that allocates nothing. *)
 
 val strip_scripts : string -> string
 (** Remove everything {!contains_script} detects: [<script>…</script>]
     elements (and any unterminated [<script] tail), inline event
-    handler attributes, and [javascript:] URL schemes. The result
-    always satisfies [not (contains_script (strip_scripts html))]. *)
+    handler attributes with their values, and [javascript:] URL
+    schemes. Linear: a removal that joins its neighbours into a new
+    construct ("<scr<script>…</script>ipt>") is caught as the output is
+    written, not by scanning the result again. The result always
+    satisfies [not (contains_script (strip_scripts html))], and a page
+    with nothing to strip comes back as the same string, physically
+    equal, with nothing copied. *)

@@ -103,26 +103,21 @@ let secret_open = "<span class=\"w5-secret\">"
 let secret_close = "</span><!--/w5-secret-->"
 let secret_span content = secret_open ^ content ^ secret_close
 
-let find_sub haystack needle from =
-  let hn = String.length haystack and nn = String.length needle in
-  let rec scan i =
-    if i + nn > hn then None
-    else if String.sub haystack i nn = needle then Some i
-    else scan (i + 1)
-  in
-  scan from
-
-let contains_secret_span data = find_sub data secret_open 0 <> None
+let contains_secret_span data = W5_http.Substring.contains data secret_open
 
 let redact_spans ?(replacement = "\xe2\x96\x88\xe2\x96\x88\xe2\x96\x88") data =
   let buf = Buffer.create (String.length data) in
   let rec go pos =
-    match find_sub data secret_open pos with
+    match W5_http.Substring.find ~from:pos data secret_open with
     | None -> Buffer.add_substring buf data pos (String.length data - pos)
     | Some start -> (
         Buffer.add_substring buf data pos (start - pos);
         Buffer.add_string buf replacement;
-        match find_sub data secret_close (start + String.length secret_open) with
+        match
+          W5_http.Substring.find
+            ~from:(start + String.length secret_open)
+            data secret_close
+        with
         | None -> () (* unterminated: drop the tail *)
         | Some close -> go (close + String.length secret_close))
   in

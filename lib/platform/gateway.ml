@@ -439,14 +439,7 @@ let handle_audit platform request =
     match Request.param request "filter" with
     | None -> lines
     | Some needle ->
-        let contains hay =
-          let hn = String.length hay and nn = String.length needle in
-          let rec scan i =
-            i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
-          in
-          nn = 0 || scan 0
-        in
-        List.filter contains lines
+        List.filter (fun line -> Substring.contains line needle) lines
   in
   Response.html
     (Html.page ~title:"audit: recent denials"

@@ -65,17 +65,10 @@ let score_all ?(editors = []) registry =
       | c -> c)
     results
 
-let contains_ci haystack needle =
-  let h = String.lowercase_ascii haystack
-  and n = String.lowercase_ascii needle in
-  let hn = String.length h and nn = String.length n in
-  if nn = 0 then true
-  else
-    let rec scan i = i + nn <= hn && (String.sub h i nn = n || scan (i + 1)) in
-    scan 0
-
 let search ?editors registry ~query =
-  List.filter (fun r -> contains_ci r.app_id query) (score_all ?editors registry)
+  List.filter
+    (fun r -> Option.is_some (W5_http.Substring.find_ci r.app_id query))
+    (score_all ?editors registry)
 
 let publish_search_app platform ~dev ?(editors = []) () =
   let registry = Platform.registry platform in

@@ -56,31 +56,17 @@ let canary user = "CANARY-" ^ user ^ "-END"
    responses cheap. *)
 let canary_owners body =
   let marker = "CANARY-" and stop = "-END" in
-  let bn = String.length body
-  and mn = String.length marker
-  and sn = String.length stop in
-  let rec find_stop i =
-    if i + sn > bn then None
-    else if String.sub body i sn = stop then Some i
-    else find_stop (i + 1)
-  in
+  let mn = String.length marker and sn = String.length stop in
   let rec scan i acc =
-    if i + mn > bn then List.rev acc
-    else if String.sub body i mn = marker then
-      match find_stop (i + mn) with
-      | None -> List.rev acc
-      | Some j ->
-          scan (j + sn) (String.sub body (i + mn) (j - i - mn) :: acc)
-    else scan (i + 1) acc
+    match W5_http.Substring.find ~from:i body marker with
+    | None -> List.rev acc
+    | Some i -> (
+        match W5_http.Substring.find ~from:(i + mn) body stop with
+        | None -> List.rev acc
+        | Some j ->
+            scan (j + sn) (String.sub body (i + mn) (j - i - mn) :: acc))
   in
   scan 0 []
-
-let contains hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec scan i =
-    i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
-  in
-  nn = 0 || scan 0
 
 let walk_fs platform f =
   let fs = W5_os.Kernel.fs (Platform.kernel platform) in
@@ -110,7 +96,7 @@ let unlabeled_canary_paths platform ~needles =
   walk_fs platform (fun path data labels ->
       if
         W5_difc.Label.is_empty labels.W5_difc.Flow.secrecy
-        && List.exists (contains data) needles
+        && List.exists (W5_http.Substring.contains data) needles
       then bad := path :: !bad);
   List.rev !bad
 

@@ -10,12 +10,7 @@ let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 let string_c = Alcotest.string
 
-let contains hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec scan i =
-    i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
-  in
-  nn = 0 || scan 0
+let contains = W5_http.Substring.contains
 
 let entry ?(runs = 3000) ?(r2 = 0.999) name ns =
   { Baseline.e_name = name; e_runs = runs; e_ns = ns; e_r2 = r2 }

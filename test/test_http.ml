@@ -170,7 +170,11 @@ let test_contains_script () =
   check bool_c "clean" false (Html.contains_script "<b>only bold</b>");
   check bool_c "word containing on" false (Html.contains_script "ongoing = fine? no tag");
   (* 'ongoing' does not match because there is no '=' right after the letters *)
-  check bool_c "online text" false (Html.contains_script "we are online today")
+  check bool_c "online text" false (Html.contains_script "we are online today");
+  check bool_c "tab before =" true (Html.contains_script "<img onerror\t=alert(1)>");
+  check bool_c "newline before =" true (Html.contains_script "<a onclick\n=x>");
+  check bool_c "tab inside scheme" true (Html.contains_script "<a href=\"java\tscript:x\">");
+  check bool_c "newline before colon" true (Html.contains_script "javascript\n:x")
 
 let test_strip_scripts () =
   check string_c "script removed" "ab"
@@ -180,7 +184,32 @@ let test_strip_scripts () =
     (Html.strip_scripts "<img onerror=\"alert(1)\">");
   check string_c "js url neutered" "<a href=x>" (Html.strip_scripts "<a href=javascript:x>");
   check string_c "case insensitive" "" (Html.strip_scripts "<ScRiPt>x</sCrIpT>");
-  check string_c "clean unchanged" "<b>hello</b>" (Html.strip_scripts "<b>hello</b>")
+  check string_c "clean unchanged" "<b>hello</b>" (Html.strip_scripts "<b>hello</b>");
+  check string_c "joined halves stripped too" "ab"
+    (Html.strip_scripts "a<scr<script>x</script>ipt>alert(1)</script>b");
+  check string_c "joined scheme stripped too" "<a href=x>"
+    (Html.strip_scripts "<a href=javajavascript:script:x>");
+  check string_c "tab before =" "<img >" (Html.strip_scripts "<img onerror\t=alert(1)>");
+  check string_c "tab inside scheme" "<a href=\"x\">"
+    (Html.strip_scripts "<a href=\"java\tscript:x\">");
+  (* each removal joins its neighbours into the next script element *)
+  let rec nest depth =
+    if depth = 0 then "<script>x</script>"
+    else "<scr" ^ nest (depth - 1) ^ "ipt>y</script>"
+  in
+  check string_c "64 joined levels" "ab" (Html.strip_scripts ("a" ^ nest 64 ^ "b"))
+
+(* A clean page is the common case at the perimeter: it must come back
+   as the very same string, with nothing copied. *)
+let test_strip_clean_is_zero_copy () =
+  let page =
+    Html.page ~title:"t"
+      (String.concat ""
+         (List.init 200 (fun i ->
+              Html.element "p" ~attrs:[ ("class", "c") ]
+                (Printf.sprintf "note %d: ongoing = on time" i))))
+  in
+  check bool_c "same string" true (Html.strip_scripts page == page)
 
 let prop_strip_scripts_is_sound =
   let arb =
@@ -197,6 +226,105 @@ let prop_strip_scripts_is_sound =
   in
   QCheck.Test.make ~name:"strip_scripts output never contains script" ~count:500
     arb (fun html -> not (Html.contains_script (Html.strip_scripts html)))
+
+(* Adversarial pages for the differential tests against [Html_ref]:
+   fragments that split, case-mangle, whitespace-pad, nest and leave
+   unterminated the three script constructs, glued in any order with
+   random bytes between them. *)
+let arb_adversarial =
+  let fragments =
+    [
+      "<script>"; "</script>"; "<ScRiPt"; "</SCRIPT>"; "</script >"; "<scr";
+      "ipt>"; "ipt"; "<scr<script>x</script>ipt>"; "<"; ">"; "<a "; "/>";
+      "<img src=p "; "onload="; "ONCLICK = "; "onerror\t="; "on"; "load";
+      "click"; "="; " "; "\t"; "\n"; "'x'"; "\"y\""; "\"open"; "javascript:";
+      "JavaScript:"; "java"; "script:"; "java\tscript:"; "jav\nascript:"; ":";
+      "<b>safe</b>"; "hello "; "ongoing"; "x"; "1";
+    ]
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (0 -- 24)
+           (frequency
+              [ (4, oneofl fragments); (1, map (String.make 1) printable) ])))
+
+let no_control_space =
+  String.map (function '\t' | '\n' | '\r' | '\x0c' -> ' ' | c -> c)
+
+let prop_detect_matches_reference =
+  QCheck.Test.make ~name:"script detection agrees with the reference filter"
+    ~count:1000 arb_adversarial (fun html ->
+      (* the reference knows no whitespace but the space character *)
+      let html = no_control_space html in
+      Html.contains_script html = Html_ref.contains_script html)
+
+let prop_detect_covers_reference =
+  QCheck.Test.make ~name:"script detection finds all the reference finds"
+    ~count:1000 arb_adversarial (fun html ->
+      (not (Html_ref.contains_script html)) || Html.contains_script html)
+
+let is_subsequence small big =
+  let n = String.length small and m = String.length big in
+  let rec go i j =
+    i = n || (j < m && go (if small.[i] = big.[j] then i + 1 else i) (j + 1))
+  in
+  go 0 0
+
+let prop_strip_sound_and_minimal =
+  QCheck.Test.make
+    ~name:"stripped pages are clean, stable, cut from the input, and clean \
+           pages pass through as the same string"
+    ~count:1000 arb_adversarial (fun html ->
+      let out = Html.strip_scripts html in
+      (not (Html.contains_script out))
+      && (not (Html_ref.contains_script out))
+      && Html.strip_scripts out == out
+      && is_subsequence out html
+      && Html.contains_script html = not (out == html))
+
+(* Well-formed pages: scripts only where an element may start and
+   handlers and javascript: URLs only inside attributes, so no removal
+   joins its neighbours into a new construct. There the single pass
+   must cut exactly what the reference's repeated passes cut. *)
+let arb_well_formed =
+  let open QCheck.Gen in
+  let word = oneofl [ "hello"; "photo"; "friends"; "on time"; "42"; "a=b" ] in
+  let attr =
+    map2
+      (fun name value -> Printf.sprintf " %s=\"%s\"" name value)
+      (oneofl [ "class"; "href"; "src"; "onclick"; "OnLoad"; "onmouseover" ])
+      (oneofl [ "p.png"; "go()"; "javascript:go()"; "JavaScript:x"; "a b" ])
+  in
+  let script =
+    map2 ( ^ )
+      (oneofl [ "<script>"; "<SCRIPT type=\"x\">"; "<Script>" ])
+      (oneofl [ "alert(1)</script>"; "if (a < b) go()</script>"; "</script>" ])
+  in
+  let rec node depth =
+    if depth = 0 then word
+    else
+      frequency
+        [
+          (3, word);
+          (1, script);
+          ( 2,
+            map3
+              (fun tag attrs kids ->
+                Printf.sprintf "<%s%s>%s</%s>" tag (String.concat "" attrs)
+                  (String.concat " " kids) tag)
+              (oneofl [ "p"; "div"; "a"; "b" ])
+              (list_size (0 -- 3) attr)
+              (list_size (0 -- 3) (node (depth - 1))) );
+        ]
+  in
+  QCheck.make ~print:(fun s -> s)
+    (map (String.concat "") (list_size (1 -- 6) (node 3)))
+
+let prop_strip_matches_reference =
+  QCheck.Test.make ~name:"strip_scripts cuts what the reference cuts"
+    ~count:1000 arb_well_formed (fun html ->
+      Html.strip_scripts html = Html_ref.strip_scripts html)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -222,8 +350,18 @@ let suite =
     Alcotest.test_case "html escape" `Quick test_html_escape;
     Alcotest.test_case "contains_script" `Quick test_contains_script;
     Alcotest.test_case "strip_scripts" `Quick test_strip_scripts;
+    Alcotest.test_case "strip_scripts: clean page is zero-copy" `Quick
+      test_strip_clean_is_zero_copy;
   ]
-  @ qsuite [ prop_uri_query_roundtrip; prop_strip_scripts_is_sound ]
+  @ qsuite
+      [
+        prop_uri_query_roundtrip;
+        prop_strip_scripts_is_sound;
+        prop_detect_matches_reference;
+        prop_detect_covers_reference;
+        prop_strip_sound_and_minimal;
+        prop_strip_matches_reference;
+      ]
 
 (* ---- dns ---- *)
 

@@ -134,10 +134,7 @@ let adversary_handler program target_user ctx (_ : App_registry.env) =
   List.iter interpret program;
   ignore (Syscall.respond ctx !acc)
 
-let contains haystack needle =
-  let hn = String.length haystack and nn = String.length needle in
-  let rec scan i = i + nn <= hn && (String.sub haystack i nn = needle || scan (i + 1)) in
-  nn = 0 || scan 0
+let contains = W5_http.Substring.contains
 
 (* One arena per case: alice owns the marker, mallory runs the app. *)
 let run_case ?(with_declassifier = false) program =

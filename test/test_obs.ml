@@ -11,12 +11,7 @@ let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 let string_c = Alcotest.string
 
-let contains hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec scan i =
-    i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
-  in
-  nn = 0 || scan 0
+let contains = W5_http.Substring.contains
 
 (* ---- counters, gauges, histograms ---- *)
 

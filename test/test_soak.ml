@@ -21,10 +21,7 @@ let int_c = Alcotest.int
 
 let canary user = "CANARY-" ^ user ^ "-END"
 
-let contains hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec scan i = i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1)) in
-  nn = 0 || scan 0
+let contains = W5_http.Substring.contains
 
 (* The noninterference spot check, reusable per platform: no
    bottom-labeled file anywhere may contain one of [needles] — every

@@ -21,10 +21,7 @@ let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 let string_c = Alcotest.string
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  ln = 0 || go 0
+let contains = W5_http.Substring.contains
 
 let read_file path =
   let ic = open_in_bin path in

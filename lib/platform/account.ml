@@ -30,17 +30,6 @@ let make ~user ~password =
     policy = Policy.create ();
   }
 
-let enable_read_protection t =
-  match t.read_tag with
-  | Some tag -> tag
-  | None ->
-      let tag =
-        Tag.fresh ~name:(t.user ^ ".read") ~restricted:true Tag.Secrecy
-      in
-      t.read_tag <- Some tag;
-      t.caps <- Capability.Set.grant_dual tag t.caps;
-      tag
-
 let owns_tag t tag =
   Tag.equal tag t.secret_tag || Tag.equal tag t.write_tag
   || match t.read_tag with Some rt -> Tag.equal tag rt | None -> false

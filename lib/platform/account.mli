@@ -6,7 +6,8 @@
     - a {e write-protect} integrity tag that gates every mutation of
       the user's data (§3.1 "Write Protection");
     - optionally, a {e read-protect} restricted secrecy tag (§3.1
-      "read protection"), minted by {!enable_read_protection}.
+      "read protection"), minted by
+      {!Platform.enable_read_protection}.
 
     The account record holds the user's full capability set (dual
     privilege over all their tags); the gateway carves out least-
@@ -21,16 +22,18 @@ type t = {
   secret_tag : Tag.t;
   write_tag : Tag.t;
   mutable read_tag : Tag.t option;
+      (** Set once, by {!Platform.enable_read_protection}, the only
+          setter in the public API. That call also puts the account
+          on the platform's read-protected list, which
+          {!Platform.app_caps_for} scans. Assigning the field directly
+          would leave the account off the list: apps would never
+          receive its read capability (a denial, not a leak). *)
   mutable caps : Capability.Set.t;
   policy : Policy.t;
 }
 
 val make : user:string -> password:string -> t
 (** Mints principal and tags; does not touch any filesystem. *)
-
-val enable_read_protection : t -> Tag.t
-(** Mint (or return) the account's restricted read-protection tag and
-    add dual privilege over it to [caps]. *)
 
 val owns_tag : t -> Tag.t -> bool
 (** Is this one of the account's own tags? The perimeter uses this for

@@ -5,6 +5,9 @@ open W5_store
 type t = {
   kernel : Kernel.t;
   accounts : (string, Account.t) Hashtbl.t;
+  mutable read_protected : Account.t list;
+      (* every account with a read tag, each once: what app_caps_for
+         scans for read grants *)
   tag_owner : (int, string) Hashtbl.t;
   registry : App_registry.t;
   sessions : W5_http.Session.t;
@@ -82,6 +85,7 @@ let create ?enforcing () =
     {
       kernel;
       accounts = Hashtbl.create 64;
+      read_protected = [];
       tag_owner = Hashtbl.create 64;
       registry = App_registry.create ();
       sessions = W5_http.Session.create ();
@@ -117,6 +121,8 @@ let account_exn t user =
 let accounts t =
   Hashtbl.fold (fun _ account acc -> account :: acc) t.accounts []
   |> List.sort (fun a b -> String.compare a.Account.user b.Account.user)
+
+let read_protected t = t.read_protected
 
 let owner_of_tag t tag =
   Option.bind (Hashtbl.find_opt t.tag_owner (Tag.id tag)) (find_account t)
@@ -209,7 +215,20 @@ let signup t ~user ~password =
   end
 
 let enable_read_protection t (account : Account.t) =
-  let tag = Account.enable_read_protection account in
+  let tag =
+    match account.Account.read_tag with
+    | Some tag -> tag
+    | None ->
+        let tag =
+          Tag.fresh ~name:(account.Account.user ^ ".read") ~restricted:true
+            Tag.Secrecy
+        in
+        account.Account.read_tag <- Some tag;
+        account.Account.caps <-
+          Capability.Set.grant_dual tag account.Account.caps;
+        t.read_protected <- account :: t.read_protected;
+        tag
+  in
   Hashtbl.replace t.tag_owner (Tag.id tag) account.Account.user;
   (* Relabel the user's existing tree so the protection covers old
      data too: every node gains the restricted tag in its secrecy.
@@ -304,11 +323,12 @@ let app_caps_for t ~viewer ~app =
   in
   (* Read capabilities: granted by each protected datum's *owner*, not
      the viewer — "only authorized software can read Bob's secrets in
-     the first place" (§3.1). *)
-  Hashtbl.fold
-    (fun _ (account : Account.t) caps ->
+     the first place" (§3.1). Only accounts with a read tag can grant
+     one, so the scan is over those, not the whole population. *)
+  List.fold_left
+    (fun caps (account : Account.t) ->
       match account.Account.read_tag with
       | Some rt when Policy.read_granted account.Account.policy app ->
           Capability.Set.add (Capability.make rt Capability.Plus) caps
       | Some _ | None -> caps)
-    t.accounts caps
+    caps t.read_protected

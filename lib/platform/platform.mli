@@ -81,6 +81,10 @@ val signup : t -> user:string -> password:string -> (Account.t, string) result
 val find_account : t -> string -> Account.t option
 val account_exn : t -> string -> Account.t
 val accounts : t -> Account.t list
+val read_protected : t -> Account.t list
+(** Every account with a read tag, each once, most recently protected
+    first: the accounts {!app_caps_for} consults for read grants. *)
+
 val owner_of_tag : t -> Tag.t -> Account.t option
 (** Which account minted this tag — how the perimeter finds the policy
     that governs an unfamiliar taint. *)
@@ -91,8 +95,11 @@ val register_tag_owner : t -> Tag.t -> user:string -> unit
     group tags. *)
 
 val enable_read_protection : t -> Account.t -> Tag.t
-(** Mint the account's restricted read tag, register its ownership and
-    relabel the user's existing files to carry it. Declassifier gates
+(** Mint the account's restricted read tag (or return the one it
+    has), grant the account dual privilege over it, register its
+    ownership, add the account to the read-protected list that
+    {!app_caps_for} scans, and relabel the user's existing files to
+    carry the tag. Repeating the call adds nothing. Declassifier gates
     installed {e before} this call do not receive the new tag's
     capabilities — reinstall them
     ({!Declassifier.install_and_authorize}) to re-authorize exports. *)
@@ -142,4 +149,9 @@ val app_caps_for :
     writes to this app, plus the read capability ([t+]) of every
     account whose owner granted this app read access to their
     protected data — never any [t-] (export stays with
-    declassifiers). *)
+    declassifiers).
+
+    Cost: O(read-protected accounts), independent of the total number
+    of accounts; grants and revocations are read from each owner's
+    live {!Policy} on every call, so a revocation takes effect on the
+    next request. *)

@@ -61,23 +61,32 @@ let test_rejects_bad_json () =
           "{\"schema_version\":1,\"group\":\"g\",\"results\":[]}x"))
 
 let test_dir_roundtrip () =
-  let dir = "baseline-dir-test" in
+  (* a fresh directory under the system temp dir, removed afterwards:
+     the test writes nothing where it runs *)
+  let dir = Filename.temp_dir "w5-baseline-" "" in
+  let remove_dir () =
+    Array.iter
+      (fun name -> Sys.remove (Filename.concat dir name))
+      (Sys.readdir dir);
+    Sys.rmdir dir
+  in
   let groups =
     [
       Baseline.make_group ~name:"zeta" [ entry "a" 10.0 ];
       Baseline.make_group ~name:"alpha" [ entry "b" 20.0 ];
     ]
   in
-  Baseline.save_dir ~dir groups;
-  (match Baseline.load_dir dir with
-  | Error e -> Alcotest.failf "load_dir failed: %s" e
-  | Ok loaded ->
-      check
-        (Alcotest.list string_c)
-        "groups load sorted by name" [ "alpha"; "zeta" ]
-        (List.map (fun g -> g.Baseline.g_name) loaded));
-  check bool_c "files named BENCH_<group>.json" true
-    (Sys.file_exists (Filename.concat dir "BENCH_alpha.json"))
+  Fun.protect ~finally:remove_dir (fun () ->
+      Baseline.save_dir ~dir groups;
+      (match Baseline.load_dir dir with
+      | Error e -> Alcotest.failf "load_dir failed: %s" e
+      | Ok loaded ->
+          check
+            (Alcotest.list string_c)
+            "groups load sorted by name" [ "alpha"; "zeta" ]
+            (List.map (fun g -> g.Baseline.g_name) loaded));
+      check bool_c "files named BENCH_<group>.json" true
+        (Sys.file_exists (Filename.concat dir "BENCH_alpha.json")))
 
 (* ---- comparison ---- *)
 

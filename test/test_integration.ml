@@ -215,14 +215,42 @@ let test_javascript_stripped_by_default () =
 
 (* ---- read protection end to end (E4) ---- *)
 
+(* One request through both faces of the gateway: [Gateway.handler]
+   (through the client) and [submit] then [conclude], with the
+   client's session cookie. Returns both response bodies. *)
+let through_both platform client path =
+  let via_handler = (Client.get client path).Response.body in
+  let headers =
+    Headers.set Headers.empty "Cookie"
+      (String.concat "; "
+         (List.map (fun (k, v) -> k ^ "=" ^ v) (Client.cookies client)))
+  in
+  let request =
+    Request.make ~headers ~client:(Client.name client) Request.GET path
+  in
+  let via_submit =
+    (Gateway.conclude platform (Gateway.submit platform request)).Response.body
+  in
+  [ via_handler; via_submit ]
+
+let check_both what prefix bodies =
+  List.iter
+    (fun body -> check bool_c what true (String.starts_with ~prefix body))
+    bodies
+
 let test_read_protection_end_to_end () =
-  let platform, alice_acct, _, _ = setup () in
+  let platform, alice_acct, _, charlie_acct = setup () in
   enable_and_delegate platform "alice";
   let tag = Platform.enable_read_protection platform alice_acct in
   ignore tag;
   let dev = Principal.make Principal.Developer "snoopdev" in
-  let handler ctx (_ : App_registry.env) =
-    match W5_os.Syscall.read_file_taint ctx "/users/alice/profile" with
+  (* reads the profile of [?user=] (default alice) *)
+  let handler ctx (env : App_registry.env) =
+    let user =
+      Option.value ~default:"alice"
+        (Request.param env.App_registry.request "user")
+    in
+    match W5_os.Syscall.read_file_taint ctx (Platform.user_file user "profile") with
     | Ok data -> ignore (W5_os.Syscall.respond ctx ("GOT:" ^ data))
     | Error e ->
         ignore (W5_os.Syscall.respond ctx ("DENIED:" ^ W5_os.Os_error.to_string e))
@@ -235,7 +263,7 @@ let test_read_protection_end_to_end () =
       match Platform.enable_app platform ~user ~app:"snoopdev/snoop" with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
-    [ "alice"; "bob" ];
+    [ "alice"; "bob"; "charlie" ];
   (* without a read grant the app cannot even open the file *)
   let bob = login_client platform "bob" in
   let _ = Client.get bob "/app/snoopdev/snoop" in
@@ -250,7 +278,30 @@ let test_read_protection_end_to_end () =
   Policy.grant_read alice_acct.Account.policy "snoopdev/snoop";
   let alice = login_client platform "alice" in
   let _ = Client.get alice "/app/snoopdev/snoop" in
-  check bool_c "owner reads" true (Client.saw alice "GOT:")
+  check bool_c "owner reads" true (Client.saw alice "GOT:");
+  check_both "granted: both paths read" "GOT:"
+    (through_both platform alice "/app/snoopdev/snoop");
+  (* revoking takes effect on the very next request *)
+  Policy.revoke_read alice_acct.Account.policy "snoopdev/snoop";
+  check_both "revoked: both paths denied" "DENIED:"
+    (through_both platform alice "/app/snoopdev/snoop");
+  (* a second owner who turns protection on after the platform has
+     served requests is consulted on the next dispatch *)
+  check bool_c "platform has served requests" true
+    (Platform.requests_served platform > 0);
+  let charlie = login_client platform "charlie" in
+  let own = "/app/snoopdev/snoop?user=charlie" in
+  check_both "unprotected: both paths read" "GOT:"
+    (through_both platform charlie own);
+  ignore (Platform.enable_read_protection platform charlie_acct);
+  check_both "protected, no grant: both paths denied" "DENIED:"
+    (through_both platform charlie own);
+  Policy.grant_read charlie_acct.Account.policy "snoopdev/snoop";
+  check_both "protected and granted: both paths read" "GOT:"
+    (through_both platform charlie own);
+  (* alice's revocation still stands beside charlie's grant *)
+  check_both "alice still revoked" "DENIED:"
+    (through_both platform alice "/app/snoopdev/snoop")
 
 (* ---- fork + one-click migration (E11) ---- *)
 

@@ -831,14 +831,15 @@ let suite =
 (* ---- account and mailer coverage ---- *)
 
 let test_account_helpers () =
-  let account = Account.make ~user:"helper" ~password:"pw" in
-  check bool_c "verify ok" true (Account.verify_password account "pw");
+  let platform = fresh_platform () in
+  let account = signup platform "helper" in
+  check bool_c "verify ok" true (Account.verify_password account "helper-pw");
   check bool_c "verify bad" false (Account.verify_password account "nope");
   check int_c "secrecy has one tag" 1 (Label.cardinal (Account.secrecy_labels account));
   let dl = Account.data_labels account in
   check bool_c "integrity is write tag" true
     (Label.mem account.Account.write_tag dl.Flow.integrity);
-  let rt = Account.enable_read_protection account in
+  let rt = Platform.enable_read_protection platform account in
   check int_c "secrecy now two tags" 2 (Label.cardinal (Account.secrecy_labels account));
   check bool_c "owns read tag" true (Account.owns_tag account rt);
   check bool_c "pp renders" true
@@ -1088,6 +1089,115 @@ let suite =
       Alcotest.test_case "stale gate cannot clear new read tag" `Quick
         test_stale_gate_cannot_clear_new_read_tag;
     ]
+
+(* ---- admission capability set ---- *)
+
+(* Reference for [Platform.app_caps_for]: the read half folds over
+   every account instead of the platform's read-protected list. *)
+let app_caps_ref platform ~viewer ~app =
+  let caps =
+    match viewer with
+    | Some (account : Account.t)
+      when Policy.write_delegated account.Account.policy app ->
+        Capability.Set.add
+          (Capability.make account.Account.write_tag Capability.Plus)
+          Capability.Set.empty
+    | Some _ | None -> Capability.Set.empty
+  in
+  List.fold_left
+    (fun caps (account : Account.t) ->
+      match account.Account.read_tag with
+      | Some rt when Policy.read_granted account.Account.policy app ->
+          Capability.Set.add (Capability.make rt Capability.Plus) caps
+      | Some _ | None -> caps)
+    caps (Platform.accounts platform)
+
+type caps_op =
+  | Signup of int
+  | Protect of int
+  | Grant_read of int * int
+  | Revoke_read of int * int
+  | Delegate_write of int * int
+  | Revoke_write of int * int
+
+let caps_op_name = function
+  | Signup u -> Printf.sprintf "signup u%d" u
+  | Protect u -> Printf.sprintf "protect u%d" u
+  | Grant_read (u, a) -> Printf.sprintf "grant_read u%d a%d" u a
+  | Revoke_read (u, a) -> Printf.sprintf "revoke_read u%d a%d" u a
+  | Delegate_write (u, a) -> Printf.sprintf "delegate_write u%d a%d" u a
+  | Revoke_write (u, a) -> Printf.sprintf "revoke_write u%d a%d" u a
+
+let gen_caps_op =
+  QCheck.Gen.(
+    let user = 0 -- 7 and app = 0 -- 2 in
+    frequency
+      [
+        (3, map (fun u -> Signup u) user);
+        (2, map (fun u -> Protect u) user);
+        (3, map2 (fun u a -> Grant_read (u, a)) user app);
+        (2, map2 (fun u a -> Revoke_read (u, a)) user app);
+        (2, map2 (fun u a -> Delegate_write (u, a)) user app);
+        (1, map2 (fun u a -> Revoke_write (u, a)) user app);
+      ])
+
+(* After every operation, for every viewer (anonymous and each
+   account) and every app, the capability set equals the reference
+   fold, and the read-protected list holds exactly the accounts with a
+   read tag, each once. *)
+let prop_app_caps_match_full_scan =
+  let apps = [ "d/a0"; "d/a1"; "d/a2" ] in
+  QCheck.Test.make ~name:"app_caps_for equals the fold over every account"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map caps_op_name ops))
+       QCheck.Gen.(list_size (1 -- 30) gen_caps_op))
+    (fun ops ->
+      let platform = fresh_platform () in
+      let user u = Printf.sprintf "u%d" u in
+      let with_account u f =
+        Option.iter f (Platform.find_account platform (user u))
+      in
+      let policy f u = with_account u (fun a -> f a.Account.policy) in
+      let app a = List.nth apps a in
+      let apply = function
+        | Signup u ->
+            ignore (Platform.signup platform ~user:(user u) ~password:"pw")
+        | Protect u ->
+            with_account u (fun a ->
+                ignore (Platform.enable_read_protection platform a))
+        | Grant_read (u, a) -> policy (fun p -> Policy.grant_read p (app a)) u
+        | Revoke_read (u, a) -> policy (fun p -> Policy.revoke_read p (app a)) u
+        | Delegate_write (u, a) ->
+            policy (fun p -> Policy.delegate_write p (app a)) u
+        | Revoke_write (u, a) ->
+            policy (fun p -> Policy.revoke_write p (app a)) u
+      in
+      let agrees () =
+        let accounts = Platform.accounts platform in
+        let names l = List.map (fun (a : Account.t) -> a.Account.user) l in
+        names
+          (List.filter
+             (fun (a : Account.t) -> a.Account.read_tag <> None)
+             accounts)
+        = List.sort compare (names (Platform.read_protected platform))
+        && List.for_all
+             (fun viewer ->
+               List.for_all
+                 (fun app ->
+                   Capability.Set.equal
+                     (Platform.app_caps_for platform ~viewer ~app)
+                     (app_caps_ref platform ~viewer ~app))
+                 apps)
+             (None :: List.map Option.some accounts)
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          agrees ())
+        ops)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_app_caps_match_full_scan ]
 
 let test_platform_getters () =
   let platform = fresh_platform () in

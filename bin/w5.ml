@@ -15,9 +15,20 @@ let seed_arg =
   let doc = "PRNG seed for workload generation (determines everything)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* A user count of at least [min]: Cmdliner refuses anything smaller
+   with a usage line and exit 124, before any society is built. *)
+let users_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min ->
+        Error (`Msg (Printf.sprintf "must be at least %d, got %d" min n))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let users_arg =
   let doc = "Number of users in the synthetic society." in
-  Arg.(value & opt int 12 & info [ "users" ] ~docv:"N" ~doc)
+  Arg.(value & opt (users_at_least 1) 12 & info [ "users" ] ~docv:"N" ~doc)
 
 let build_society ~seed ~users ~enforcing =
   W5_workload.Populate.build ~seed ~enforcing ~users ~friends_per_user:3
@@ -569,8 +580,6 @@ let stats seed users format =
   | Some (viewer, owner) ->
       let client = W5_workload.Populate.login society viewer in
       ignore (Client.get client "/app/core/social" ~params:[ ("user", owner) ]));
-  (* publish the label-algebra memo-cache counters before dumping *)
-  W5_os.Kernel.sync_cache_metrics kernel;
   (* static-analysis finding counts, bucketed by severity only — the
      label values are a closed set, so nothing user-derived can ride
      along into the exposition *)
@@ -700,8 +709,8 @@ let vet seed users format dot runtime_n concurrency toctou =
 
 let vet_cmd =
   let users =
-    Arg.(value & opt int 6 & info [ "users" ] ~docv:"N"
-           ~doc:"Number of users in the showcase society.")
+    Arg.(value & opt (users_at_least 3) 6 & info [ "users" ] ~docv:"N"
+           ~doc:"Number of users in the showcase society (at least 3).")
   in
   let format =
     Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT"
@@ -903,7 +912,7 @@ let soak_cmd =
            ~doc:"Requests to admit across the whole run.")
   in
   let users =
-    Arg.(value & opt int 50 & info [ "users" ] ~docv:"N"
+    Arg.(value & opt (users_at_least 1) 50 & info [ "users" ] ~docv:"N"
            ~doc:"Users in the synthetic society.")
   in
   let waves =

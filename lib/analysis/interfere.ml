@@ -619,23 +619,7 @@ let to_text report =
   Buffer.contents b
 
 (* hand-rolled JSON, same dialect as Vet's renderer: deterministic
-   field order, no dependency *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let js s = "\"" ^ json_escape s ^ "\""
-
+   field order, strings escaped by Exposition.json_string *)
 let to_json report =
   let b = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
@@ -650,11 +634,11 @@ let to_json report =
   List.iteri
     (fun i (p : Mhp.program) ->
       line "    {\"name\": %s, \"multiplicity\": %d, \"steps\": [%s]}%s"
-        (js p.Mhp.name) p.Mhp.multiplicity
+        (Exposition.json_string p.Mhp.name) p.Mhp.multiplicity
         (String.concat ", "
            (List.map
               (fun (s : Mhp.step) ->
-                js
+                Exposition.json_string
                   ((match s.Mhp.ctx with
                    | Mhp.Direct -> ""
                    | Mhp.Gate_body -> "gate:")
@@ -668,16 +652,19 @@ let to_json report =
   line "  \"counts\": {%s},"
     (String.concat ", "
        (List.map
-          (fun (s, c) -> Printf.sprintf "%s: %d" (js (Severity.name s)) c)
+          (fun (s, c) ->
+            Printf.sprintf "%s: %d"
+              (Exposition.json_string (Severity.name s))
+              c)
           (severity_counts report.findings)));
   line "  \"findings\": [";
   let nf = List.length report.findings in
   List.iteri
     (fun i f ->
       line "    {\"severity\": %s, \"kind\": %s, \"message\": %s}%s"
-        (js (Severity.name (severity_of f)))
-        (js (kind_of f))
-        (js (message f))
+        (Exposition.json_string (Severity.name (severity_of f)))
+        (Exposition.json_string (kind_of f))
+        (Exposition.json_string (message f))
         (if i = nf - 1 then "" else ","))
     report.findings;
   line "  ],";

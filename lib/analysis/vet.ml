@@ -1,5 +1,6 @@
 open W5_difc
 open W5_os
+open W5_obs
 
 (* severities and the exit-code contract live in Severity, shared with
    `w5 vet --concurrency`, `w5 health`, and the soak CLI *)
@@ -373,35 +374,19 @@ let count_severity findings sev =
 
 (* ---- JSON ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let js s = "\"" ^ json_escape s ^ "\""
 let jbool b = if b then "true" else "false"
 let jlist items = "[" ^ String.concat ", " items ^ "]"
-let jstrings items = jlist (List.map js items)
+let jstrings items = jlist (List.map Exposition.json_string items)
 
 let to_json r =
   let st = r.static in
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let array_block name render items next =
-    if items = [] then line "  %s: [],%s" (js name) next
+    let name = Exposition.json_string name in
+    if items = [] then line "  %s: [],%s" name next
     else begin
-      line "  %s: [" (js name);
+      line "  %s: [" name;
       let n = List.length items in
       List.iteri
         (fun i item ->
@@ -429,8 +414,10 @@ let to_json r =
     (fun (a : Static.app_info) ->
       String.concat ", "
         [
-          Printf.sprintf "\"id\": %s" (js a.Static.app_id);
-          Printf.sprintf "\"version\": %s" (js a.Static.version);
+          Printf.sprintf "\"id\": %s"
+            (Exposition.json_string a.Static.app_id);
+          Printf.sprintf "\"version\": %s"
+            (Exposition.json_string a.Static.version);
           Printf.sprintf "\"open_source\": %s" (jbool a.Static.open_source);
           Printf.sprintf "\"vetted\": %s" (jbool a.Static.vetted);
           Printf.sprintf "\"installs\": %d" a.Static.installs;
@@ -443,19 +430,24 @@ let to_json r =
     (fun (ti : Static.tag_info) ->
       String.concat ", "
         [
-          Printf.sprintf "\"name\": %s" (js ti.Static.tag_name);
+          Printf.sprintf "\"name\": %s"
+            (Exposition.json_string ti.Static.tag_name);
           Printf.sprintf "\"restricted\": %s" (jbool ti.Static.restricted);
           Printf.sprintf "\"owner\": %s"
-            (match ti.Static.owner with None -> "null" | Some o -> js o);
-          Printf.sprintf "\"disposition\": %s" (js (disposition_string st ti));
+            (match ti.Static.owner with
+            | None -> "null"
+            | Some o -> Exposition.json_string o);
+          Printf.sprintf "\"disposition\": %s"
+            (Exposition.json_string (disposition_string st ti));
         ])
     (Static.tags st) "";
   array_block "gates"
     (fun (gi : Static.gate_info) ->
       String.concat ", "
         [
-          Printf.sprintf "\"name\": %s" (js gi.Static.gate);
-          Printf.sprintf "\"owner\": %s" (js gi.Static.gate_owner);
+          Printf.sprintf "\"name\": %s" (Exposition.json_string gi.Static.gate);
+          Printf.sprintf "\"owner\": %s"
+            (Exposition.json_string gi.Static.gate_owner);
           Printf.sprintf "\"clears\": %s" (jstrings gi.Static.drops);
           Printf.sprintf "\"absorbs\": %s" (jstrings gi.Static.adds);
           Printf.sprintf "\"authorized_for\": %s"
@@ -466,9 +458,11 @@ let to_json r =
     (fun f ->
       String.concat ", "
         [
-          Printf.sprintf "\"severity\": %s" (js (severity_name (severity_of f)));
-          Printf.sprintf "\"kind\": %s" (js (kind_of f));
-          Printf.sprintf "\"message\": %s" (js (message f));
+          Printf.sprintf "\"severity\": %s"
+            (Exposition.json_string (severity_name (severity_of f)));
+          Printf.sprintf "\"kind\": %s" (Exposition.json_string (kind_of f));
+          Printf.sprintf "\"message\": %s"
+            (Exposition.json_string (message f));
         ])
     r.findings "";
   (match r.runtime with
@@ -484,7 +478,10 @@ let to_json r =
         List.iteri
           (fun i v ->
             line "      {\"seq\": %d, \"pid\": %d, \"holder\": %s, \"kind\": %s, \"tag\": %s}%s"
-              v.v_seq v.v_pid (js v.v_holder) (js v.v_kind) (js v.v_tag)
+              v.v_seq v.v_pid
+              (Exposition.json_string v.v_holder)
+              (Exposition.json_string v.v_kind)
+              (Exposition.json_string v.v_tag)
               (if i = n - 1 then "" else ","))
           rt.violations;
         line "    ]"
@@ -553,12 +550,12 @@ let to_text r =
    sweep in the test suite asserts this). *)
 let export_metrics registry r =
   let g =
-    W5_obs.Metrics.gauge registry "w5_vet_findings_total"
+    Metrics.gauge registry "w5_vet_findings_total"
       ~help:"Vet findings by severity at the last analysis"
   in
   List.iter
     (fun s ->
-      W5_obs.Metrics.set g
+      Metrics.set g
         ~labels:[ ("severity", Severity.name s) ]
         (count_severity r.findings s))
     Severity.all

@@ -14,90 +14,11 @@ let equal_labels a b =
 let pp_labels fmt l =
   Format.fprintf fmt "S=%a I=%a" Label.pp l.secrecy Label.pp l.integrity
 
-(* ---- pair interning ----
-
-   A labels pair is hash-consed by the content ids of its two
-   components: one canonical record per (secrecy, integrity) content,
-   plus a pair id usable as a compact cache key. Like Label ids, pair
-   ids are monotone and never reused. *)
-
-let pair_pool : (labels * int) Memo.pair_cache =
-  Memo.create_pair ~name:"flow-pair" ~capacity:8192
-
-let next_pair_id = ref 0
-
-let intern l =
-  let ks = Label.interned_id l.secrecy
-  and ki = Label.interned_id l.integrity in
-  match Memo.find_pair pair_pool ks ki with
-  | Some (canonical, _) -> canonical
-  | None ->
-      incr next_pair_id;
-      let canonical =
-        { secrecy = Label.intern l.secrecy; integrity = Label.intern l.integrity }
-      in
-      Memo.add_pair pair_pool ks ki (canonical, !next_pair_id);
-      canonical
-
-let labels_id l =
-  let ks = Label.interned_id l.secrecy
-  and ki = Label.interned_id l.integrity in
-  match Memo.find_pair pair_pool ks ki with
-  | Some (_, id) -> id
-  | None ->
-      incr next_pair_id;
-      let canonical =
-        { secrecy = Label.intern l.secrecy; integrity = Label.intern l.integrity }
-      in
-      Memo.add_pair pair_pool ks ki (canonical, !next_pair_id);
-      !next_pair_id
-
-let join_ref a b =
+let join a b =
   {
-    secrecy = Label.union_ref a.secrecy b.secrecy;
+    secrecy = Label.union a.secrecy b.secrecy;
     integrity = Label.inter a.integrity b.integrity;
   }
-
-(* Combined size under which a direct join beats a cache probe;
-   mirrors the small-operand bypass inside Label. *)
-let small_bound = 6
-
-let size l = Label.cardinal l.secrecy + Label.cardinal l.integrity
-
-let join_cache : labels Memo.quad_cache =
-  Memo.create_quad ~name:"join" ~capacity:4096
-
-let join a b =
-  if a == b then a
-  else if size a + size b <= small_bound then
-    {
-      secrecy = Label.union a.secrecy b.secrecy;
-      integrity = Label.inter a.integrity b.integrity;
-    }
-  else
-    let ka_s = Label.interned_id a.secrecy
-    and ka_i = Label.interned_id a.integrity
-    and kb_s = Label.interned_id b.secrecy
-    and kb_i = Label.interned_id b.integrity in
-    (* join is commutative: normalize on the (secrecy, integrity) id
-       pair so both argument orders share one entry. *)
-    let ka_s, ka_i, kb_s, kb_i =
-      if ka_s < kb_s || (ka_s = kb_s && ka_i <= kb_i) then
-        (ka_s, ka_i, kb_s, kb_i)
-      else (kb_s, kb_i, ka_s, ka_i)
-    in
-    match Memo.find_quad join_cache ka_s ka_i kb_s kb_i with
-    | Some r -> r
-    | None ->
-        let r =
-          intern
-            {
-              secrecy = Label.union a.secrecy b.secrecy;
-              integrity = Label.inter a.integrity b.integrity;
-            }
-        in
-        Memo.add_quad join_cache ka_s ka_i kb_s kb_i r;
-        r
 
 type denial =
   | Secrecy_violation of Label.t
@@ -117,36 +38,13 @@ let pp_denial fmt = function
 
 let denial_to_string d = Format.asprintf "%a" pp_denial d
 
-let can_flow_ref src dst =
-  Label.subset_ref src.secrecy dst.secrecy
-  && Label.subset_ref dst.integrity src.integrity
-
-let can_flow_cache : bool Memo.quad_cache =
-  Memo.create_quad ~name:"can-flow" ~capacity:4096
-
 let can_flow src dst =
-  if src == dst then true
-  else if size src + size dst <= small_bound then
-    Label.subset src.secrecy dst.secrecy
-    && Label.subset dst.integrity src.integrity
-  else
-    let ks_s = Label.interned_id src.secrecy
-    and ks_i = Label.interned_id src.integrity
-    and kd_s = Label.interned_id dst.secrecy
-    and kd_i = Label.interned_id dst.integrity in
-    match Memo.find_quad can_flow_cache ks_s ks_i kd_s kd_i with
-    | Some r -> r
-    | None ->
-        let r =
-          Label.subset src.secrecy dst.secrecy
-          && Label.subset dst.integrity src.integrity
-        in
-        Memo.add_quad can_flow_cache ks_s ks_i kd_s kd_i r;
-        r
+  Label.subset src.secrecy dst.secrecy
+  && Label.subset dst.integrity src.integrity
 
 let check_flow src dst =
-  (* The allowed case rides the memoized boolean judgment; denials are
-     the rare path, and only they pay for the explanatory diffs. *)
+  (* Denials are the rare path; only they pay for the explanatory
+     diffs. *)
   if can_flow src dst then Ok ()
   else
     let secrecy_excess = Label.diff src.secrecy dst.secrecy in

@@ -27,22 +27,9 @@ val make : ?secrecy:Label.t -> ?integrity:Label.t -> unit -> labels
 val equal_labels : labels -> labels -> bool
 val pp_labels : Format.formatter -> labels -> unit
 
-val intern : labels -> labels
-(** Canonical representative for this (secrecy, integrity) content:
-    both component labels interned, one record per content pair (see
-    {!Label.intern}). *)
-
-val labels_id : labels -> int
-(** Compact content id for the pair — monotone, never reused, equal
-    ids imply {!equal_labels}. Interns as a side effect. *)
-
 val join : labels -> labels -> labels
 (** Label of data derived from two sources: secrecy unions, integrity
-    intersects. Memoized on interned ids for non-tiny pairs; the
-    memoized result is interned. *)
-
-val join_ref : labels -> labels -> labels
-(** Unmemoized reference implementation of {!join}, for tests. *)
+    intersects. *)
 
 (** Why a flow or label change was refused. *)
 type denial =
@@ -59,16 +46,11 @@ val pp_denial : Format.formatter -> denial -> unit
 val denial_to_string : denial -> string
 
 val can_flow : labels -> labels -> bool
-(** [can_flow src dst] is the boolean flow judgment. Memoized on
-    interned ids for non-tiny pairs. *)
-
-val can_flow_ref : labels -> labels -> bool
-(** Unmemoized reference implementation of {!can_flow}, for tests. *)
+(** [can_flow src dst] is the boolean flow judgment. *)
 
 val check_flow : labels -> labels -> (unit, denial) result
-(** Like {!can_flow} but explains the first violated condition. The
-    allowed case shares {!can_flow}'s memo; only denials compute the
-    explanatory diffs. *)
+(** Like {!can_flow} but explains the first violated condition. Only
+    denials compute the explanatory diffs. *)
 
 val can_flow_with :
   ?src_caps:Capability.Set.t -> ?dst_caps:Capability.Set.t ->

@@ -2,15 +2,11 @@
 
     A process or object carries two labels, a secrecy label [S] and an
     integrity label [I]. The partial order is set inclusion; join is
-    union and meet is intersection. All operations are purely
-    functional.
-
-    Labels are hash-consed on demand: {!intern} maps a label to a
-    canonical representative with a process-unique content id, and
-    {!subset} / {!union} memoize their results keyed on those ids (see
-    {!Memo}). Ids are monotone and never reused, so memo entries never
-    go stale. Compare labels only with {!equal} / {!compare} — the
-    cached id makes polymorphic structural equality unreliable. *)
+    union and meet is intersection. A label is an immutable balanced
+    tag set and every operation is purely functional; nothing is
+    cached. Compare labels only with {!equal} / {!compare}: two equal
+    sets may differ in tree shape, so polymorphic structural equality
+    is unreliable. *)
 
 type t
 
@@ -24,22 +20,8 @@ val add : Tag.t -> t -> t
 val remove : Tag.t -> t -> t
 val mem : Tag.t -> t -> bool
 
-val intern : t -> t
-(** The canonical representative for this tag-set content. Interned
-    equality is physical equality (until a pool flush re-canonicalizes
-    the content under a fresh id — never observable except as a cache
-    miss). Also caches the content id on the argument itself. *)
-
-val interned_id : t -> int
-(** The content id (> 0), interning first if needed. Equal ids imply
-    equal labels; distinct ids imply nothing. *)
-
 val union : t -> t -> t
-(** Lattice join: the label of data derived from two sources.
-    Memoized for non-tiny operands; the memoized result is interned. *)
-
-val union_ref : t -> t -> t
-(** Unmemoized reference implementation of {!union}, for tests. *)
+(** Lattice join: the label of data derived from two sources. *)
 
 val inter : t -> t -> t
 (** Lattice meet. *)
@@ -50,10 +32,7 @@ val diff : t -> t -> t
 
 val subset : t -> t -> bool
 (** [subset a b] is the lattice order: data labeled [a] may flow where
-    [b] is required. Memoized for non-tiny operands. *)
-
-val subset_ref : t -> t -> bool
-(** Unmemoized reference implementation of {!subset}, for tests. *)
+    [b] is required. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

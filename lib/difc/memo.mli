@@ -1,60 +1,13 @@
-(** Bounded memo caches for the label algebra.
+(** An empty stand-in for the label-algebra caches, which are gone.
 
-    Each cache is size-capped: when an insert would exceed the cap the
-    whole table is flushed (one counter bump, no LRU bookkeeping on
-    the hot path). Keys are interned-content ids ({!Label.intern}),
-    which are assigned from a monotone counter and never reused — so a
-    cached judgment can never go stale; a flush costs warmth, never
-    soundness.
+    [bench/e2e] reads {!snapshots} and the [hits] / [misses] fields to
+    report its [difc.cache_lookups_per_req] and [difc.cache_hit_ratio]
+    per-layer metrics. That benchmark is versioned apart from the
+    library, since its results are compared across commits, so this
+    module stays until the benchmark stops reading it. There are no
+    caches: {!snapshots} is always empty and both metrics read 0. *)
 
-    Hit/miss/flush counters live in a process-global registry that
-    {!snapshots} exposes; the kernel republishes them as
-    [w5_label_cache_*] metrics. Counters and cache keys carry only
-    opaque integer ids and cache names — never tag names or user
-    bytes. *)
-
-type counters = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable flushes : int;
-}
-
-type snapshot = {
-  name : string;
-  hits : int;
-  misses : int;
-  flushes : int;
-  size : int;
-  capacity : int;
-}
+type snapshot = { hits : int; misses : int }
 
 val snapshots : unit -> snapshot list
-(** One snapshot per registered cache, in registration order. *)
-
-val reset_all : unit -> unit
-(** Flush every registered cache and zero its counters. Test hook;
-    also safe anytime (caches only memoize pure judgments). *)
-
-val register :
-  name:string ->
-  counters:counters ->
-  capacity:int ->
-  size:(unit -> int) ->
-  reset:(unit -> unit) ->
-  unit
-(** Expose an externally managed cache (e.g. the label intern pool)
-    through the same registry. *)
-
-type 'v pair_cache
-(** A cache keyed by an ordered pair of interned ids. *)
-
-val create_pair : name:string -> capacity:int -> 'v pair_cache
-val find_pair : 'v pair_cache -> int -> int -> 'v option
-val add_pair : 'v pair_cache -> int -> int -> 'v -> unit
-
-type 'v quad_cache
-(** A cache keyed by four interned ids (a pair of label pairs). *)
-
-val create_quad : name:string -> capacity:int -> 'v quad_cache
-val find_quad : 'v quad_cache -> int -> int -> int -> int -> 'v option
-val add_quad : 'v quad_cache -> int -> int -> int -> int -> 'v -> unit
+(** Always [[]]. *)

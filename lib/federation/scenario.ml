@@ -34,7 +34,7 @@ let drain mesh acc =
       let tracer = Kernel.tracer (Platform.kernel platform) in
       let spans = Tracer.traces tracer in
       Tracer.clear tracer;
-      let prev = try Hashtbl.find acc name with Not_found -> [] in
+      let prev = Option.value (Hashtbl.find_opt acc name) ~default:[] in
       Hashtbl.replace acc name (prev @ spans))
     (Peer.providers mesh)
 
@@ -112,7 +112,7 @@ let run_mesh ~plan_for ~rounds () =
   let spans =
     List.map
       (fun name ->
-        (name, try Hashtbl.find acc name with Not_found -> []))
+        (name, Option.value (Hashtbl.find_opt acc name) ~default:[]))
       providers
   in
   (mesh, spans, List.rev !notes)

@@ -197,10 +197,3 @@ val with_audit_batch : t -> (unit -> 'a) -> 'a
     one ends) and flush even if [f] raises, so a quota kill's own
     events still land before the kernel records the kill. Syscall
     dispatch wraps every syscall in one of these. *)
-
-val sync_cache_metrics : t -> unit
-(** Republish the label-algebra memo-cache counters
-    ({!W5_difc.Memo.snapshots}) as [w5_label_cache_*] gauges in this
-    kernel's registry, labeled by cache name. Call before exposition;
-    the caches are process-global, so the gauges describe the process,
-    not just this kernel. *)

@@ -40,8 +40,8 @@ type entry = {
   secrecy_refs : (Tag.t, int) Hashtbl.t;
   integrity_refs : (Tag.t, int) Hashtbl.t;
   mutable row_count : int;
-  (* The (secrecy fold, integrity fold) of the refcount tables,
-     interned; recomputed lazily after any refcount change. The lookup
+  (* The (secrecy fold, integrity fold) of the refcount tables;
+     recomputed lazily after any refcount change. The lookup
      path's taint is *not* part of this — it must stay fresh (see
      [summary]). *)
   mutable summary_cache : (Label.t * Label.t) option;
@@ -295,21 +295,15 @@ let summary kernel ~collection =
       match e.summary_cache with
       | Some folds -> folds
       | None ->
-          (* Interning the folds keeps repeated queries on the same
-             collection on the memoized absorb-join path: same content
-             ids, so the downstream union/join probes hit. *)
           let secrecy =
-            Label.intern
-              (Hashtbl.fold
-                 (fun t _ acc -> Label.add t acc)
-                 e.secrecy_refs Label.empty)
+            Hashtbl.fold
+              (fun t _ acc -> Label.add t acc)
+              e.secrecy_refs Label.empty
           in
           let integrity =
-            Label.intern
-              (Hashtbl.fold
-                 (fun t n acc ->
-                   if n = e.row_count then Label.add t acc else acc)
-                 e.integrity_refs Label.empty)
+            Hashtbl.fold
+              (fun t n acc -> if n = e.row_count then Label.add t acc else acc)
+              e.integrity_refs Label.empty
           in
           e.summary_cache <- Some (secrecy, integrity);
           (secrecy, integrity)

@@ -470,133 +470,43 @@ let prop_label_compare_consistent =
 
 let suite = suite @ qsuite [ prop_label_compare_consistent ]
 
-(* ---- interning and memoization ----
+(* ---- differential: the library against the sorted-list model ----
 
-   The memoized judgments must agree with the unmemoized reference
-   implementations on arbitrary labels — both below and above the
-   small-operand bypass (the generator's 0–8-tag labels over a
-   16-tag pool straddle it). *)
+   Every operation the flow and safe-label-change rules are built from
+   must agree with [Label_ref] on arbitrary labels. The generators'
+   0–8-tag labels over a 16-tag pool overlap often enough that subset,
+   equality and permitted flows are all exercised on their true side
+   too; the rebuilt copy [a'] is equal to [a] without being [==]. *)
 
-let prop_subset_memo_agrees =
-  QCheck.Test.make ~name:"memoized subset agrees with reference" ~count:300
-    (QCheck.pair arb_label arb_label) (fun (a, b) ->
-      Label.subset a b = Label.subset_ref a b
-      && Label.subset b a = Label.subset_ref b a
-      && Label.subset a a = Label.subset_ref a a)
+let prop_agrees_with_model =
+  QCheck.Test.make ~name:"label algebra agrees with list model" ~count:300
+    (QCheck.quad arb_label arb_label arb_flow_labels arb_flow_labels)
+    (fun (a, b, p, q) ->
+      let module R = Label_ref in
+      let m = R.of_label in
+      let ra = m a and rb = m b in
+      let a' = Label.of_list (List.rev (Label.to_list a)) in
+      let sign x = Int.compare x 0 in
+      let even t = Tag.id t land 1 = 0 in
+      let rp = R.of_labels p and rq = R.of_labels q in
+      let pq = Flow.join p q and rpq = R.join rp rq in
+      R.equal (m (Label.union a b)) (R.union ra rb)
+      && R.equal (m (Label.inter a b)) (R.inter ra rb)
+      && R.equal (m (Label.diff a b)) (R.diff ra rb)
+      && Label.subset a b = R.subset ra rb
+      && Label.subset b a = R.subset rb ra
+      && Label.subset a (Label.union a b) = R.subset ra (R.union ra rb)
+      && Array.for_all (fun t -> Label.mem t a = R.mem (Tag.id t) ra) pool
+      && Label.cardinal a = R.cardinal ra
+      && Label.equal a b = R.equal ra rb
+      && Label.equal a a' = R.equal ra (m a')
+      && sign (Label.compare a b) = sign (R.compare ra rb)
+      && sign (Label.compare a a') = sign (R.compare ra (m a'))
+      && R.equal (m (Label.filter even a))
+           (R.filter (fun i -> i land 1 = 0) ra)
+      && R.of_labels pq = rpq
+      && Flow.can_flow p q = R.can_flow rp rq
+      && Flow.can_flow p pq = R.can_flow rp rpq
+      && Result.is_ok (Flow.check_flow p q) = R.can_flow rp rq)
 
-let prop_union_memo_agrees =
-  QCheck.Test.make ~name:"memoized union agrees with reference" ~count:300
-    (QCheck.pair arb_label arb_label) (fun (a, b) ->
-      Label.equal (Label.union a b) (Label.union_ref a b)
-      && Label.equal (Label.union b a) (Label.union_ref b a))
-
-let prop_can_flow_memo_agrees =
-  QCheck.Test.make ~name:"memoized can_flow agrees with reference" ~count:300
-    (QCheck.pair arb_flow_labels arb_flow_labels) (fun (a, b) ->
-      Flow.can_flow a b = Flow.can_flow_ref a b
-      && Flow.can_flow b a = Flow.can_flow_ref b a)
-
-let prop_join_memo_agrees =
-  QCheck.Test.make ~name:"memoized join agrees with reference" ~count:300
-    (QCheck.pair arb_flow_labels arb_flow_labels) (fun (a, b) ->
-      Flow.equal_labels (Flow.join a b) (Flow.join_ref a b)
-      && Flow.equal_labels (Flow.join b a) (Flow.join_ref b a))
-
-let test_intern_identity () =
-  let a = s_tag "int.a" and b = s_tag "int.b" in
-  let l1 = Label.of_list [ a; b ] and l2 = Label.of_list [ b; a ] in
-  check bool_c "interned equality is physical" true
-    (Label.intern l1 == Label.intern l2);
-  check bool_c "ids agree" true (Label.interned_id l1 = Label.interned_id l2);
-  check bool_c "id positive" true (Label.interned_id l1 > 0);
-  check bool_c "distinct content, distinct id" false
-    (Label.interned_id (Label.singleton a) = Label.interned_id l1);
-  (* interning never changes the content *)
-  check bool_c "same content" true (Label.equal (Label.intern l1) l2);
-  let p1 = Flow.make ~secrecy:l1 () and p2 = Flow.make ~secrecy:l2 () in
-  check bool_c "pair interning canonicalizes" true
-    (Flow.intern p1 == Flow.intern p2);
-  check bool_c "pair ids agree" true (Flow.labels_id p1 = Flow.labels_id p2)
-
-let snapshot_of name =
-  match
-    List.find_opt (fun s -> s.Memo.name = name) (Memo.snapshots ())
-  with
-  | Some s -> s
-  | None -> Alcotest.fail ("no memo cache named " ^ name)
-
-(* Fresh tags so these probes cannot collide with earlier tests'
-   cache entries. Labels are 4 tags each: past the small-operand
-   bypass, so the memo path is exercised. *)
-let big_pair () =
-  let tag i = s_tag (Printf.sprintf "memo.%d" i) in
-  let l1 = Label.of_list [ tag 0; tag 1; tag 2; tag 3 ] in
-  let l2 = Label.of_list [ tag 4; tag 5; tag 6; tag 7 ] in
-  (l1, l2)
-
-let test_memo_counters () =
-  let l1, l2 = big_pair () in
-  let before = snapshot_of "subset" in
-  ignore (Label.subset l1 l2);
-  let after_miss = snapshot_of "subset" in
-  check int_c "first probe misses" (before.Memo.misses + 1)
-    after_miss.Memo.misses;
-  ignore (Label.subset l1 l2);
-  ignore (Label.subset l1 l2);
-  let after_hits = snapshot_of "subset" in
-  check int_c "repeat probes hit" (after_miss.Memo.hits + 2)
-    after_hits.Memo.hits;
-  check int_c "no further misses" after_miss.Memo.misses
-    after_hits.Memo.misses
-
-let test_cache_cap_eviction () =
-  let cap = (snapshot_of "subset").Memo.capacity in
-  check bool_c "capacity positive" true (cap > 0);
-  (* More distinct (a, b) key pairs than the cap: 70 distinct 4-tag
-     labels give 70*69 > 4096 ordered pairs, so the cache must flush
-     at least once and end no larger than its cap. *)
-  let tags = Array.init 74 (fun i -> s_tag (Printf.sprintf "evict.%d" i)) in
-  let lbls =
-    Array.init 70 (fun i ->
-        Label.of_list [ tags.(i); tags.(i + 1); tags.(i + 2); tags.(i + 3) ])
-  in
-  let flushes_before = (snapshot_of "subset").Memo.flushes in
-  Array.iter
-    (fun a -> Array.iter (fun b -> if a != b then ignore (Label.subset a b)) lbls)
-    lbls;
-  let s = snapshot_of "subset" in
-  check bool_c "cap flush happened" true (s.Memo.flushes > flushes_before);
-  check bool_c "size bounded by cap" true (s.Memo.size <= cap);
-  (* and judgments after the flush are still correct *)
-  check bool_c "still sound" true
-    (Label.subset lbls.(0) lbls.(1) = Label.subset_ref lbls.(0) lbls.(1))
-
-let test_memo_reset_all () =
-  let l1, l2 = big_pair () in
-  ignore (Label.subset l1 l2);
-  Memo.reset_all ();
-  let s = snapshot_of "subset" in
-  check int_c "hits zeroed" 0 s.Memo.hits;
-  check int_c "misses zeroed" 0 s.Memo.misses;
-  check int_c "size zeroed" 0 s.Memo.size;
-  (* caches only memoize pure judgments: everything still works *)
-  check bool_c "still sound" true
-    (Label.subset l1 l2 = Label.subset_ref l1 l2);
-  check bool_c "union still sound" true
-    (Label.equal (Label.union l1 l2) (Label.union_ref l1 l2))
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "intern: physical equality" `Quick test_intern_identity;
-      Alcotest.test_case "memo hit/miss counters" `Quick test_memo_counters;
-      Alcotest.test_case "memo cache cap eviction" `Quick test_cache_cap_eviction;
-      Alcotest.test_case "memo reset_all" `Quick test_memo_reset_all;
-    ]
-  @ qsuite
-      [
-        prop_subset_memo_agrees;
-        prop_union_memo_agrees;
-        prop_can_flow_memo_agrees;
-        prop_join_memo_agrees;
-      ]
+let suite = suite @ qsuite [ prop_agrees_with_model ]

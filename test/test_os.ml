@@ -1347,45 +1347,6 @@ let test_syscall_audit_batched () =
        (fun (e : Audit.entry) -> Audit.is_denial e)
        (Audit.entries (Kernel.audit kernel)))
 
-let test_cache_metrics_sync_and_canary () =
-  let kernel = Kernel.create () in
-  (* a secret-named tag flows through the memoized judgments... *)
-  let canary = "hunter2-canary-username" in
-  let tags =
-    Array.init 8 (fun i ->
-        Tag.fresh ~name:(Printf.sprintf "%s-%d" canary i) Tag.Secrecy)
-  in
-  let l1 = Label.of_list (Array.to_list (Array.sub tags 0 4)) in
-  let l2 = Label.of_list (Array.to_list (Array.sub tags 4 4)) in
-  ignore (Label.subset (Label.union l1 l2) (Label.union l1 l2));
-  ignore
-    (Flow.can_flow (Flow.make ~secrecy:l1 ()) (Flow.make ~secrecy:l2 ()));
-  Kernel.sync_cache_metrics kernel;
-  let m = Kernel.metrics kernel in
-  let hits = W5_obs.Metrics.gauge m "w5_label_cache_hits_total" in
-  check bool_c "subset cache series present" true
-    (W5_obs.Metrics.value hits ~labels:[ ("cache", "subset") ] >= 0
-    && List.exists
-         (fun (s : W5_obs.Metrics.sample) ->
-           s.W5_obs.Metrics.sample_name = "w5_label_cache_hits_total"
-           && s.W5_obs.Metrics.sample_series <> [])
-         (W5_obs.Metrics.dump m));
-  (* ...and the exposed metrics carry cache names and counts only *)
-  let rendered =
-    W5_obs.Exposition.prometheus m ^ W5_obs.Exposition.json m
-  in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i =
-      i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
-    in
-    scan 0
-  in
-  check bool_c "cache metrics exposed" true
-    (contains ~needle:"w5_label_cache_hits_total" rendered);
-  check bool_c "no user bytes in metrics" false
-    (contains ~needle:canary rendered)
-
 let suite =
   suite
   @ [
@@ -1396,6 +1357,4 @@ let suite =
         test_with_audit_batch_flushes_on_raise;
       Alcotest.test_case "syscall audit batched" `Quick
         test_syscall_audit_batched;
-      Alcotest.test_case "cache metrics sync + canary" `Quick
-        test_cache_metrics_sync_and_canary;
     ]

@@ -30,6 +30,13 @@ let users_arg =
   let doc = "Number of users in the synthetic society." in
   Arg.(value & opt (users_at_least 1) 12 & info [ "users" ] ~docv:"N" ~doc)
 
+(* The formats a command renders: Cmdliner refuses any other value
+   with a usage line and exit 124. *)
+let format_arg formats default ~doc =
+  Arg.(value & opt (enum formats) default & info [ "format" ] ~docv:"FMT" ~doc)
+
+let text_json_dot = [ ("text", `Text); ("json", `Json); ("dot", `Dot) ]
+
 let build_society ~seed ~users ~enforcing =
   W5_workload.Populate.build ~seed ~enforcing ~users ~friends_per_user:3
     ~photos_per_user:2 ~blog_posts_per_user:1 ()
@@ -384,9 +391,9 @@ let federated_trace format =
   let outcome = W5_federation.Scenario.run () in
   let forest = W5_obs.Trace_merge.merge outcome.W5_federation.Scenario.spans in
   match format with
-  | "json" -> print_endline (W5_obs.Trace_merge.to_json forest); `Ok ()
-  | "dot" -> print_string (W5_obs.Trace_merge.to_dot forest); `Ok ()
-  | "text" ->
+  | `Json -> print_endline (W5_obs.Trace_merge.to_json forest); `Ok ()
+  | `Dot -> print_string (W5_obs.Trace_merge.to_dot forest); `Ok ()
+  | `Text ->
       Printf.printf
         "federated trace: %s over %s (scripted faults on east~south)\n"
         W5_federation.Scenario.user
@@ -395,7 +402,6 @@ let federated_trace format =
       Printf.printf "merged spans: %d\n\n" (W5_obs.Trace_merge.span_count forest);
       print_string (W5_obs.Trace_merge.to_text forest);
       `Ok ()
-  | other -> `Error (true, "unknown format: " ^ other)
 
 let trace seed users length mix_name federated format =
   if federated then federated_trace format
@@ -448,8 +454,8 @@ let trace_cmd =
                 annotated spans). Byte-reproducible.")
   in
   let format =
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT"
-           ~doc:"With --federated: text (default), json, or dot.")
+    format_arg text_json_dot `Text
+      ~doc:"With --federated: text (default), json, or dot."
   in
   let term =
     Term.(ret (const trace $ seed_arg $ users_arg $ length $ mix $ federated
@@ -590,8 +596,8 @@ let stats seed users format =
     (W5_analysis.Interfere.analyze (W5_analysis.Interfere.model_of_static st));
   let metrics = W5_os.Kernel.metrics kernel in
   (match format with
-  | "json" -> print_string (W5_obs.Exposition.json metrics)
-  | _ ->
+  | `Json -> print_string (W5_obs.Exposition.json metrics)
+  | `Prometheus ->
       print_string (W5_obs.Exposition.prometheus metrics);
       (* the JSON exposition embeds p50/p95/p99 per histogram series;
          mirror them here as a separate quantile section *)
@@ -613,8 +619,8 @@ let stats seed users format =
 
 let stats_cmd =
   let format =
-    Arg.(value & opt string "prometheus" & info [ "format" ] ~docv:"FMT"
-           ~doc:"Output format: prometheus (default) or json.")
+    format_arg [ ("prometheus", `Prometheus); ("json", `Json) ] `Prometheus
+      ~doc:"Output format: prometheus (default) or json."
   in
   let term = Term.(ret (const stats $ seed_arg $ users_arg $ format)) in
   Cmd.v
@@ -639,9 +645,9 @@ let vet_concurrency seed users format toctou runtime_n =
   in
   let report = W5_analysis.Interfere.analyze model in
   (match format with
-  | "json" -> print_string (W5_analysis.Interfere.to_json report)
-  | "dot" -> print_string (W5_analysis.Interfere.to_dot report)
-  | _ -> print_string (W5_analysis.Interfere.to_text report));
+  | `Json -> print_string (W5_analysis.Interfere.to_json report)
+  | `Dot -> print_string (W5_analysis.Interfere.to_dot report)
+  | `Text -> print_string (W5_analysis.Interfere.to_text report));
   let replay_sev =
     match runtime_n with
     | None -> None
@@ -662,7 +668,7 @@ let vet_concurrency seed users format toctou runtime_n =
             (Platform.kernel soc.W5_workload.Populate.platform)
         in
         let replay = W5_analysis.Interfere.fold_audit model log in
-        if format <> "json" then begin
+        if format <> `Json then begin
           print_newline ();
           print_string (W5_analysis.Interfere.replay_to_text replay)
         end;
@@ -677,7 +683,7 @@ let vet_concurrency seed users format toctou runtime_n =
 
 let vet seed users format dot runtime_n concurrency toctou =
   if concurrency || toctou then
-    vet_concurrency seed users (if dot then "dot" else format) toctou
+    vet_concurrency seed users (if dot then `Dot else format) toctou
       runtime_n
   else begin
     let society = W5_workload.Populate.build_showcase ~seed ~users () in
@@ -700,10 +706,10 @@ let vet seed users format dot runtime_n concurrency toctou =
                (W5_os.Kernel.audit (Platform.kernel platform)))
     in
     let report = W5_analysis.Vet.report ?runtime st in
-    (match if dot then "dot" else format with
-    | "json" -> print_string (W5_analysis.Vet.to_json report)
-    | "dot" -> print_string (W5_analysis.Static.to_dot st)
-    | _ -> print_string (W5_analysis.Vet.to_text report));
+    (match if dot then `Dot else format with
+    | `Json -> print_string (W5_analysis.Vet.to_json report)
+    | `Dot -> print_string (W5_analysis.Static.to_dot st)
+    | `Text -> print_string (W5_analysis.Vet.to_text report));
     exit (W5_analysis.Vet.exit_code report)
   end
 
@@ -713,8 +719,8 @@ let vet_cmd =
            ~doc:"Number of users in the showcase society (at least 3).")
   in
   let format =
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT"
-           ~doc:"Output format: text (default), json, or dot.")
+    format_arg text_json_dot `Text
+      ~doc:"Output format: text (default), json, or dot."
   in
   let dot =
     Arg.(value & flag & info [ "dot" ]
@@ -733,8 +739,8 @@ let vet_cmd =
     Arg.(value & flag & info [ "concurrency" ]
            ~doc:"Run the preemption-aware interference analysis instead: \
                  syscall footprints over the scheduler's may-happen-in-\
-                 parallel model, reporting stale flow checks (TOCTOU), \
-                 atomicity holes, and provably-benign commuting pairs.")
+                 parallel model, reporting stale flow checks (TOCTOU) \
+                 and provably-benign commuting pairs.")
   in
   let toctou =
     Arg.(value & flag & info [ "toctou" ]
@@ -809,14 +815,14 @@ let perf_diff dir fresh_dir format names_only =
     W5_obs.Baseline.compare_runs ~names_only ~baseline ~fresh ()
   in
   (match format with
-  | "json" -> print_string (W5_obs.Baseline.render_json findings)
-  | _ -> print_string (W5_obs.Baseline.render_text findings));
+  | `Json -> print_string (W5_obs.Baseline.render_json findings)
+  | `Text -> print_string (W5_obs.Baseline.render_text findings));
   if W5_obs.Baseline.has_regression findings then exit 1 else `Ok ()
 
 let perf_diff_cmd =
   let format =
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT"
-           ~doc:"Output format: text (default) or json.")
+    format_arg [ ("text", `Text); ("json", `Json) ] `Text
+      ~doc:"Output format: text (default) or json."
   in
   let names_only =
     Arg.(value & flag & info [ "schema-only" ]

@@ -12,11 +12,6 @@ type finding =
       writer_program : string;
       writer_op : string;
     }
-  | Atomicity_hole of {
-      program : string;
-      op : string;
-      cell : Footprint.cell;
-    }
   | Benign_commute of {
       cell : Footprint.cell;
       prog_a : string;
@@ -29,12 +24,10 @@ type finding =
 
 let severity_of = function
   | Stale_flow_check _ -> Severity.High
-  | Atomicity_hole _ -> Severity.Critical
   | Benign_commute _ -> Severity.Info
 
 let kind_of = function
   | Stale_flow_check _ -> "stale_flow_check"
-  | Atomicity_hole _ -> "atomicity_hole"
   | Benign_commute _ -> "benign_commute"
 
 let message = function
@@ -46,12 +39,6 @@ let message = function
         program check_op
         (Footprint.cell_name cell)
         act_op writer_program writer_op
-  | Atomicity_hole { program; op; cell } ->
-      Printf.sprintf
-        "%s: gate-body %s writes %s but gate children are not \
-         preemption-shielded"
-        program op
-        (Footprint.cell_name cell)
   | Benign_commute { cell; prog_a; op_a; prog_b; op_b; kind_a; kind_b } ->
       Printf.sprintf "%s/%s and %s/%s both write %s but %s/%s commute"
         prog_a op_a prog_b op_b
@@ -108,22 +95,6 @@ let analyze (model : Mhp.model) =
   let pairs_examined = ref 0 in
   let pairs_ordered = ref 0 in
   let pairs_revalidated = ref 0 in
-  (* Atomicity holes: a gate-body step that writes label state while
-     preemption can reach inside the gate region. *)
-  Array.iter
-    (fun (p : Mhp.program) ->
-      List.iter
-        (fun (s : Mhp.step) ->
-          if s.Mhp.ctx = Mhp.Gate_body && Mhp.preempt_before model s then
-            match spec_of s with
-            | None -> ()
-            | Some spec ->
-                List.iter
-                  (fun (cell, _) ->
-                    emit (Atomicity_hole { program = p.Mhp.name; op = s.Mhp.op; cell }))
-                  spec.Syscall.Spec.writes)
-        p.Mhp.steps)
-    programs;
   (* Stale flow checks: within one program, a dependency consumed at
      step [j] that is not revalidated there, checked at some earlier
      step [i], with a preemption point in between and a foreign
@@ -371,11 +342,7 @@ let seed_toctou (model : Mhp.model) =
           [ "fs.stat"; "fs.write" ];
     }
   in
-  {
-    model with
-    Mhp.specs;
-    Mhp.programs = model.Mhp.programs @ [ cached_writer ];
-  }
+  { Mhp.specs; programs = model.Mhp.programs @ [ cached_writer ] }
 
 (* {1 Differential replay}
 
@@ -599,7 +566,7 @@ let to_text report =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "static interference analysis (preemption-aware vet)";
   line "  scheduler model: entry-preemption-only=%b gate-children-atomic=%b"
-    report.model.Mhp.entry_only report.model.Mhp.gate_atomic;
+    Sched.entry_preemption_only Sched.gate_children_atomic;
   line "  programs: %s"
     (String.concat ", "
        (List.map program_summary report.model.Mhp.programs));
@@ -626,8 +593,8 @@ let to_json report =
   line "{";
   line "  \"schema\": \"w5.interfere/1\",";
   line "  \"scheduler\": {";
-  line "    \"entry_preemption_only\": %b," report.model.Mhp.entry_only;
-  line "    \"gate_children_atomic\": %b" report.model.Mhp.gate_atomic;
+  line "    \"entry_preemption_only\": %b," Sched.entry_preemption_only;
+  line "    \"gate_children_atomic\": %b" Sched.gate_children_atomic;
   line "  },";
   line "  \"programs\": [";
   let nprogs = List.length report.model.Mhp.programs in
@@ -693,14 +660,6 @@ let to_dot report =
                  ("label", Footprint.cell_name cell) ]
              (pid writer_program)
              (pid program))
-    | Atomicity_hole { program; cell; _ } ->
-        Some
-          (Dot.edge
-             ~attrs:
-               [ ("color", "red");
-                 ("style", "bold");
-                 ("label", Footprint.cell_name cell) ]
-             (pid program) (pid program))
     | Benign_commute { prog_a; prog_b; cell; _ } ->
         Some
           (Dot.edge

@@ -9,10 +9,6 @@
       separated from the act by a preemption point and a foreign MHP
       writer able to rewrite the cell in between — the classic
       check-then-act TOCTOU;
-    - {b atomicity holes} ([Critical]): a gate-body step writing label
-      state while preemption can reach inside the gate region (never
-      under the real scheduler, whose gate children are atomic — the
-      detector stays live for hypothetical models);
     - {b benign commutes} ([Info]): conflicting write/write pairs
       proven order-independent by the join-semilattice laws
       ({!Footprint.commutes}).
@@ -29,11 +25,6 @@ type finding =
       cell : Footprint.cell;
       writer_program : string;
       writer_op : string;
-    }
-  | Atomicity_hole of {
-      program : string;
-      op : string;
-      cell : Footprint.cell;
     }
   | Benign_commute of {
       cell : Footprint.cell;

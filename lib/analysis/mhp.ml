@@ -25,17 +25,9 @@ type program = {
 type model = {
   programs : program list;
   specs : Syscall.Spec.t list;
-  gate_atomic : bool;
-      (** from {!Sched.gate_children_atomic}: whether [Gate_body]
-          steps are shielded from preemption *)
-  entry_only : bool;
-      (** from {!Sched.entry_preemption_only}: preemption happens only
-          at dispatch entry, so a step's interior is atomic *)
 }
 
-let make ?(gate_atomic = Sched.gate_children_atomic)
-    ?(entry_only = Sched.entry_preemption_only) programs =
-  { programs; specs = Syscall.Spec.all; gate_atomic; entry_only }
+let make programs = { programs; specs = Syscall.Spec.all }
 
 let spec_of model op =
   match List.find_opt (fun s -> s.Syscall.Spec.op = op) model.specs with
@@ -52,7 +44,7 @@ let preempt_before model step =
   | None -> false
   | Some spec ->
       spec.Syscall.Spec.entry_preempt
-      && (step.ctx = Direct || not model.gate_atomic)
+      && (step.ctx = Direct || not Sched.gate_children_atomic)
 
 (* {2 May-happen-in-parallel}
 

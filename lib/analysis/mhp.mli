@@ -22,15 +22,11 @@ type program = { name : string; multiplicity : int; steps : step list }
 type model = {
   programs : program list;
   specs : W5_os.Syscall.Spec.t list;
-  gate_atomic : bool;
-  entry_only : bool;
 }
 
-val make :
-  ?gate_atomic:bool -> ?entry_only:bool -> program list -> model
-(** Defaults come from {!W5_os.Sched.gate_children_atomic} and
-    {!W5_os.Sched.entry_preemption_only}; tests override them to
-    model hypothetical schedulers. *)
+val make : program list -> model
+(** The programs under the shipped syscall spec table and the real
+    scheduler's preemption facts. *)
 
 val spec_of : model -> string -> W5_os.Syscall.Spec.t option
 

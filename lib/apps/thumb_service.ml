@@ -5,18 +5,8 @@ open W5_platform
 let thumbnail_of data =
   String.sub data 0 (min 8 (String.length data)) ^ "~thumb"
 
-(* worker registry per platform, keyed by provider identity *)
-let registries : (int, (string, Service.t) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 8
-
-let registry_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt registries key with
-  | Some table -> table
-  | None ->
-      let table = Hashtbl.create 16 in
-      Hashtbl.replace registries key table;
-      table
+let workers = Kernel.Local.create (fun () -> Hashtbl.create 16)
+let registry_of platform = Kernel.Local.get workers (Platform.kernel platform)
 
 let worker_for platform ~user = Hashtbl.find_opt (registry_of platform) user
 

@@ -21,7 +21,6 @@ and meters = {
 }
 
 and t = {
-  k_id : int;
   k_fs : Fs.t;
   k_audit : Audit.log;
   procs : (int, Proc.t) Hashtbl.t;
@@ -45,7 +44,12 @@ and t = {
      called by the syscall layer at every dispatch entry so a running
      process can be preempted at kernel-crossing boundaries. *)
   mutable k_preempt : (Proc.t -> unit) option;
+  mutable k_locals : local list;
 }
+
+(* One [Local] slot's value on this kernel; the slot's type id
+   recovers the value's type. *)
+and local = Binding : 'a Type.Id.t * 'a -> local
 
 and ctx = {
   kernel : t;
@@ -96,17 +100,10 @@ let make_meters m =
         ~help:"Completed traces evicted from the tracer ring";
   }
 
-(* Kernels are per-provider singletons; a monotone id lets global
-   side tables (e.g. the store's index registries) key per kernel
-   without keeping the kernel itself alive in a map key. *)
-let next_kernel_id = ref 0
-
 let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
   let k_metrics = Metrics.create () in
-  incr next_kernel_id;
   let k =
     {
-      k_id = !next_kernel_id;
       k_fs = Fs.create ();
       k_audit = Audit.create ~capacity:audit_capacity ();
       procs = Hashtbl.create 64;
@@ -123,6 +120,7 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       k_audit_depth = 0;
       k_audit_buf = Queue.create ();
       k_preempt = None;
+      k_locals = [];
     }
   in
   (* ring evictions surface as a counter, not only in the traces
@@ -131,7 +129,6 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       Metrics.inc k.k_meters.trace_dropped ~by:n);
   k
 
-let id k = k.k_id
 let enforcing k = k.k_enforcing
 let set_enforcing k b = k.k_enforcing <- b
 let fs k = k.k_fs
@@ -142,6 +139,29 @@ let kernel_principal k = k.k_principal
 let metrics k = k.k_metrics
 let tracer k = k.k_tracer
 let meters k = k.k_meters
+
+(* Per-kernel state of the modules above, kept on the kernel record so
+   that it is freed with the kernel. A kernel carries a handful of
+   slots, so a list walk beats any table. *)
+module Local = struct
+  type kernel = t
+  type 'a t = { id : 'a Type.Id.t; init : unit -> 'a }
+
+  let create init = { id = Type.Id.make (); init }
+
+  let rec find : type a. a t -> kernel -> local list -> a =
+   fun slot k -> function
+    | [] ->
+        let v = slot.init () in
+        k.k_locals <- Binding (slot.id, v) :: k.k_locals;
+        v
+    | Binding (id, v) :: rest -> (
+        match Type.Id.provably_equal slot.id id with
+        | Some Type.Equal -> v
+        | None -> find slot k rest)
+
+  let get slot k = find slot k k.k_locals
+end
 
 let record k ~pid event =
   Metrics.inc k.k_meters.audit_events

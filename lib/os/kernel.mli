@@ -79,9 +79,28 @@ val metrics : t -> W5_obs.Metrics.t
 val tracer : t -> W5_obs.Tracer.t
 val meters : t -> meters
 
-val id : t -> int
-(** A process-wide unique id for this kernel instance, for keying
-    per-kernel side tables (e.g. the store's secondary indexes). *)
+(** {1 Per-kernel state}
+
+    State that a module above the kernel keeps per provider — the
+    store's indexes, a platform's groups, invitations, SLO ledger,
+    mail outboxes and service workers — lives in a {!Local} slot. The
+    value hangs off the kernel record, typed by the slot, so it is
+    freed with its kernel; a process-global table would never free
+    it. *)
+
+type kernel := t
+
+module Local : sig
+  type 'a t
+  (** One slot: a value of type ['a] per kernel. *)
+
+  val create : (unit -> 'a) -> 'a t
+  (** A slot whose value for each kernel is made by the function on
+      first {!get}. *)
+
+  val get : 'a t -> kernel -> 'a
+  (** This kernel's value, made on first use. *)
+end
 
 val enforcing : t -> bool
 val set_enforcing : t -> bool -> unit

@@ -35,6 +35,10 @@ val gate_name : owner:string -> name:string -> string
 val encode_arg : viewer:string option -> data:string -> string
 (** The wire format the perimeter uses to call a gate. *)
 
+val decode_arg : string -> (string option * string) option
+(** The inverse of {!encode_arg}, used by every gate; [None] for a
+    malformed argument, which the gate treats as a refusal. *)
+
 val install : Platform.t -> account:Account.t -> name:string -> logic -> string
 (** Register the gate for this account and return its name. The gate's
     capability set is fixed at installation: if the user enables read

@@ -2,33 +2,13 @@ open W5_difc
 open W5_os
 open W5_http
 
-(* One invitation registry per platform instance, keyed by the
-   provider principal's unique id (no reference to the platform itself
-   is retained). *)
-let invite_registries : (int, Invite.registry) Hashtbl.t = Hashtbl.create 8
+let invites = Kernel.Local.create Invite.create_registry
+let invites_of platform = Kernel.Local.get invites (Platform.kernel platform)
 
-let invites_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt invite_registries key with
-  | Some registry -> registry
-  | None ->
-      let registry = Invite.create_registry () in
-      Hashtbl.replace invite_registries key registry;
-      registry
-
-(* Per-platform SLO ledger, same keying discipline as the invite
-   registries: every handled request spends or banks error budget for
-   its route, and [w5 health] renders the ledger next to peer health. *)
-let slo_registries : (int, W5_obs.Health.Slo.t) Hashtbl.t = Hashtbl.create 8
-
-let slo_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt slo_registries key with
-  | Some slo -> slo
-  | None ->
-      let slo = W5_obs.Health.Slo.create () in
-      Hashtbl.replace slo_registries key slo;
-      slo
+(* Every handled request spends or banks error budget for its route,
+   and [w5 health] renders the ledger next to peer health. *)
+let slos = Kernel.Local.create (fun () -> W5_obs.Health.Slo.create ())
+let slo_of platform = Kernel.Local.get slos (Platform.kernel platform)
 
 let viewer_of platform request =
   match Request.cookie request Session.cookie_name with

@@ -8,18 +8,8 @@ type t = {
   mutable g_members : string list;
 }
 
-(* Group registries are platform state, keyed like the gateway's
-   invitation registry. *)
-let registries : (int, (string, t) Hashtbl.t) Hashtbl.t = Hashtbl.create 8
-
-let registry_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt registries key with
-  | Some table -> table
-  | None ->
-      let table = Hashtbl.create 16 in
-      Hashtbl.replace registries key table;
-      table
+let groups = Kernel.Local.create (fun () -> Hashtbl.create 16)
+let registry_of platform = Kernel.Local.get groups (Platform.kernel platform)
 
 let find platform ~name = Hashtbl.find_opt (registry_of platform) name
 
@@ -41,22 +31,11 @@ let install_gate platform group =
      group-tainted payloads, [t-] to release them to members. *)
   let caps = Capability.Set.grant_dual group.g_tag Capability.Set.empty in
   let entry ctx arg =
-    match
-      W5_store.Record.decode arg
-    with
-    | Error _ -> ()
-    | Ok r -> (
-        let viewer =
-          match W5_store.Record.get_or r "viewer" ~default:"" with
-          | "" -> None
-          | v -> Some v
-        in
-        let data = W5_store.Record.get_or r "data" ~default:"" in
-        match viewer with
-        | Some v when is_member group ~user:v ->
-            ignore (Syscall.declassify_self ctx group.g_tag);
-            ignore (Syscall.respond ctx data)
-        | Some _ | None -> ())
+    match Declassifier.decode_arg arg with
+    | Some (Some v, data) when is_member group ~user:v ->
+        ignore (Syscall.declassify_self ctx group.g_tag);
+        ignore (Syscall.respond ctx data)
+    | Some _ | None -> ()
   in
   let founder_account = Platform.account_exn platform group.g_founder in
   Kernel.register_gate (Platform.kernel platform) ~name:(gate_name group)

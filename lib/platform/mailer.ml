@@ -1,4 +1,4 @@
-open W5_difc
+open W5_os
 open W5_http
 
 type email = {
@@ -7,22 +7,10 @@ type email = {
   body : string;
 }
 
-(* One outbox table per platform, keyed like the gateway's invitation
-   registry: by the provider principal's unique id. *)
-let outboxes : (int, (string, email list ref) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 8
-
-let outbox_table platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt outboxes key with
-  | Some table -> table
-  | None ->
-      let table = Hashtbl.create 16 in
-      Hashtbl.replace outboxes key table;
-      table
+let outboxes = Kernel.Local.create (fun () -> Hashtbl.create 16)
 
 let user_box platform user =
-  let table = outbox_table platform in
+  let table = Kernel.Local.get outboxes (Platform.kernel platform) in
   match Hashtbl.find_opt table user with
   | Some box -> box
   | None ->

@@ -55,18 +55,8 @@ type entry = {
   mutable stamp : (int * int) option;
 }
 
-(* Per-kernel registries, keyed by Kernel.id so two providers (e.g.
-   the federation tests' A and B) never share index state. *)
-let registries : (int, (string, entry) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
-
-let registry kernel =
-  let kid = Kernel.id kernel in
-  match Hashtbl.find_opt registries kid with
-  | Some r -> r
-  | None ->
-      let r = Hashtbl.create 8 in
-      Hashtbl.replace registries kid r;
-      r
+let registries = Kernel.Local.create (fun () -> Hashtbl.create 8)
+let registry kernel = Kernel.Local.get registries kernel
 
 let entry_of kernel collection =
   let reg = registry kernel in

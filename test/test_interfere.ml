@@ -269,10 +269,6 @@ let oracle_models =
         Mhp.make
           [ prog "a" [ d "fs.stat"; g "label.declassify"; g "proc.respond" ];
             prog "b" [ d "fs.relabel" ] ] );
-      ( "gate leaky",
-        Mhp.make ~gate_atomic:false
-          [ prog "a" [ d "fs.stat"; g "label.declassify"; g "proc.respond" ];
-            prog "b" [ d "fs.relabel" ] ] );
       ( "twins",
         Mhp.make [ prog ~multiplicity:2 "p" [ d "fs.stat"; d "fs.exists" ] ] );
       ( "three-way",
@@ -353,9 +349,7 @@ let test_oracle_schedule_counts () =
     (List.length (Mhp.interleavings (m "shielded step")));
   (* atomic gate body welds all of a *)
   check int_c "gate atomic" 2
-    (List.length (Mhp.interleavings (m "gate atomic")));
-  (* leaky gates reopen every seam: b lands in any of 4 slots *)
-  check int_c "gate leaky" 4 (List.length (Mhp.interleavings (m "gate leaky")))
+    (List.length (Mhp.interleavings (m "gate atomic")))
 
 (* ---- the detector ---- *)
 
@@ -365,7 +359,6 @@ let showcase_model seed =
   (society, Interfere.model_of_static (Static.capture platform))
 
 let is_stale = function Interfere.Stale_flow_check _ -> true | _ -> false
-let is_hole = function Interfere.Atomicity_hole _ -> true | _ -> false
 
 let test_clean_showcase () =
   let _, model = showcase_model 42 in
@@ -387,55 +380,6 @@ let test_seeded_toctou () =
     | f :: _ -> Interfere.severity_of f = Severity.High
     | [] -> false);
   check int_c "exit 3" 3 (Interfere.exit_code report)
-
-let test_atomicity_hole_hypothetical () =
-  let gate_prog =
-    prog ~multiplicity:2 "g" [ g "label.declassify"; g "proc.respond" ]
-  in
-  let leaky = Interfere.analyze (Mhp.make ~gate_atomic:false [ gate_prog ]) in
-  check bool_c "hole under a leaky scheduler" true
-    (List.exists is_hole leaky.Interfere.findings);
-  check int_c "critical exit" 4 (Interfere.exit_code leaky);
-  let real = Interfere.analyze (Mhp.make [ gate_prog ]) in
-  check bool_c "no hole under the real scheduler" false
-    (List.exists is_hole real.Interfere.findings)
-
-(* satellite: every label write inside a gate body => no atomicity
-   hole under the real (gate-atomic) scheduler, whatever the mix. *)
-let gen_gated_program =
-  QCheck.Gen.(
-    let ops = Array.of_list (List.map spec_op Syscall.Spec.all) in
-    map2
-      (fun idx picks ->
-        let steps =
-          List.map
-            (fun i ->
-              let op = ops.(i mod Array.length ops) in
-              let spec = Option.get (Syscall.Spec.find op) in
-              let ctx =
-                if spec.Syscall.Spec.writes <> [] then Mhp.Gate_body
-                else Mhp.Direct
-              in
-              { Mhp.ctx; op })
-            picks
-        in
-        { Mhp.name = Printf.sprintf "p%d" idx; multiplicity = 1 + (idx mod 3);
-          steps })
-      (int_bound 1000)
-      (list_size (1 -- 5) (int_bound 1000)))
-
-let arb_gated_model =
-  QCheck.make
-    QCheck.Gen.(
-      map (fun ps -> Mhp.make ps) (list_size (1 -- 4) gen_gated_program))
-
-let gated_writes_law =
-  QCheck.Test.make
-    ~name:"label writes confined to gate bodies admit no atomicity hole"
-    ~count:300 arb_gated_model
-    (fun model ->
-      let report = Interfere.analyze model in
-      not (List.exists is_hole report.Interfere.findings))
 
 (* ---- differential soundness: replay seeded scheduler runs ---- *)
 
@@ -536,11 +480,9 @@ let suite =
       test_oracle_schedule_counts;
     Alcotest.test_case "clean showcase" `Quick test_clean_showcase;
     Alcotest.test_case "seeded toctou" `Quick test_seeded_toctou;
-    Alcotest.test_case "atomicity hole (hypothetical sched)" `Quick
-      test_atomicity_hole_hypothetical;
     Alcotest.test_case "replay observes real interleavings" `Quick
       test_replay_observes_interleavings;
     Alcotest.test_case "finding metrics label-safe" `Quick
       test_metrics_label_safe;
   ]
-  @ qsuite [ commute_law; gated_writes_law; differential_soundness ]
+  @ qsuite [ commute_law; differential_soundness ]

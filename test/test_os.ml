@@ -1358,3 +1358,43 @@ let suite =
       Alcotest.test_case "syscall audit batched" `Quick
         test_syscall_audit_batched;
     ]
+
+(* ---- per-kernel state: Kernel.Local ---- *)
+
+let test_local_one_value_per_slot_and_kernel () =
+  let slot = Kernel.Local.create (fun () -> ref 0) in
+  let a = Kernel.create () and b = Kernel.create () in
+  let va = Kernel.Local.get slot a in
+  va := 1;
+  check bool_c "same value on a second get" true (Kernel.Local.get slot a == va);
+  check bool_c "another kernel, another value" false
+    (Kernel.Local.get slot b == va);
+  check int_c "made fresh" 0 !(Kernel.Local.get slot b);
+  let other = Kernel.Local.create (fun () -> ref 0) in
+  check bool_c "another slot, another value" false
+    (Kernel.Local.get other a == va)
+
+(* Module-level, like the slots in lib/; each value points back at its
+   kernel, as a Service.t does. *)
+let back_pointers = Kernel.Local.create (fun () -> ref None)
+
+let[@inline never] fill_for_dropped_kernel weak =
+  let kernel = Kernel.create () in
+  let v = Kernel.Local.get back_pointers kernel in
+  v := Some kernel;
+  Weak.set weak 0 (Some v)
+
+let test_local_freed_with_kernel () =
+  let weak = Weak.create 1 in
+  fill_for_dropped_kernel weak;
+  Gc.full_major ();
+  check bool_c "value collected with its kernel" false (Weak.check weak 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "local: one value per slot and kernel" `Quick
+        test_local_one_value_per_slot_and_kernel;
+      Alcotest.test_case "local: freed with its kernel" `Quick
+        test_local_freed_with_kernel;
+    ]

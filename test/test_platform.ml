@@ -969,10 +969,12 @@ let test_gate_garbage_arg_refuses () =
       ~labels:(Flow.make ~secrecy:(Label.singleton alice.Account.secret_tag) ())
       (fun ctx -> W5_os.Syscall.invoke_gate ctx gate ~arg:"%%garbage%%")
   in
-  match result with
+  (match result with
   | Ok None -> () (* no response = refusal *)
   | Ok (Some _) -> Alcotest.fail "gate answered garbage"
-  | Error e -> Alcotest.failf "gate crashed: %s" (W5_os.Os_error.to_string e)
+  | Error e -> Alcotest.failf "gate crashed: %s" (W5_os.Os_error.to_string e));
+  check bool_c "no equals sign decodes to None" true
+    (Declassifier.decode_arg "no equals sign" = None)
 
 let suite =
   suite
@@ -1263,3 +1265,88 @@ let suite =
       Alcotest.test_case "expire_sessions return" `Quick
         test_expire_sessions_return;
     ]
+
+(* ---- per-kernel platform state dies with its platform ---- *)
+
+let login_client platform name =
+  let c = Client.make ~name (Gateway.handler platform) in
+  ignore (Client.post c "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ]);
+  c
+
+(* Fill every per-kernel table of one platform — a group, an invite,
+   outbox mail, SLO routes, a store index and a thumbnail worker —
+   check that a second platform sees none of it, and leave only a weak
+   pointer to the first platform's kernel. *)
+let[@inline never] build_busy_platform weak =
+  let platform = fresh_platform () in
+  let dev = Principal.make Principal.Developer "d" in
+  ignore (ok_s (W5_apps.Social_app.publish platform ~dev));
+  ignore (ok_s (W5_apps.Blog_app.publish platform ~dev));
+  let host = signup platform "host" and guest = signup platform "guest" in
+  List.iter
+    (fun (a : Account.t) ->
+      List.iter
+        (fun app ->
+          ok_s (Platform.enable_app platform ~user:a.Account.user ~app);
+          Policy.delegate_write a.Account.policy app)
+        [ "d/social"; "d/blog" ])
+    [ host; guest ];
+  ignore (ok_s (Group.create platform ~founder:host ~name:"club"));
+  let hc = login_client platform "host" in
+  let r = Client.post hc "/invite" ~form:[ ("to", "guest"); ("app", "d/social") ] in
+  check int_c "invite sent" 200 (Response.status_code r.Response.status);
+  ignore
+    (Client.post hc "/app/d/blog"
+       ~form:[ ("action", "post"); ("id", "e"); ("title", "T"); ("body", "B") ]);
+  let r =
+    Client.post (login_client platform "guest") "/app/d/blog"
+      ~form:[ ("action", "comment"); ("user", "host"); ("id", "e"); ("text", "hi") ]
+  in
+  check int_c "comment posted" 200 (Response.status_code r.Response.status);
+  ignore
+    (ok_s (Mailer.deliver_app_page platform ~user:"host" ~app:"d/social" ~subject:"s" ()));
+  ignore (ok_os (W5_apps.Thumb_service.install platform ~user:"host"));
+  let slo_routes p =
+    List.length (W5_obs.Health.Slo.report (Gateway.slo_of p) ~now:0)
+  in
+  check bool_c "first platform has SLO routes" true (slo_routes platform > 0);
+  let other = fresh_platform () in
+  check int_c "no groups" 0 (List.length (Group.all other));
+  check int_c "no outbox mail" 0 (Mailer.outbox_size other ~user:"host");
+  check int_c "no SLO routes" 0 (slo_routes other);
+  ignore (signup other "guest");
+  let oc = login_client other "guest" in
+  ignore (Client.get oc "/invites");
+  check bool_c "no invites" false (Client.saw oc "host invites you");
+  Weak.set weak 0 (Some (Platform.kernel platform))
+
+let test_platform_state_freed_with_kernel () =
+  let weak = Weak.create 1 in
+  build_busy_platform weak;
+  Gc.full_major ();
+  Gc.full_major ();
+  check bool_c "kernel collected" false (Weak.check weak 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "per-kernel state freed with its platform" `Quick
+        test_platform_state_freed_with_kernel;
+    ]
+
+(* ---- the gate argument round-trips ---- *)
+
+(* Strings rich in the bytes the codec escapes. *)
+let gen_wire_string size =
+  QCheck.Gen.(string_size ~gen:(oneofl [ '%'; '='; '\n'; 'a'; '0'; ' ' ]) size)
+
+let prop_gate_arg_round_trip =
+  QCheck.Test.make ~name:"decode_arg inverts encode_arg" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (option string) string)
+       QCheck.Gen.(pair (opt (gen_wire_string (1 -- 12))) (gen_wire_string (0 -- 40))))
+    (fun (viewer, data) ->
+      Declassifier.decode_arg (Declassifier.encode_arg ~viewer ~data)
+      = Some (viewer, data))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_gate_arg_round_trip ]

@@ -8,23 +8,33 @@ type logic =
 
 let gate_name ~owner ~name = "declass/" ^ owner ^ "/" ^ name
 
-(* Wire format between the perimeter and a gate: a Record with
-   [viewer] (empty string = anonymous) and [data]. *)
+(* Wire format between the perimeter and a gate:
+   [<decimal length of viewer>:<viewer><data>], where an empty viewer
+   is anonymous. The page is copied once each way, whatever its bytes. *)
 let encode_arg ~viewer ~data =
-  Record.encode
-    (Record.of_fields
-       [ ("viewer", Option.value viewer ~default:""); ("data", data) ])
+  let viewer = Option.value viewer ~default:"" in
+  String.concat "" [ string_of_int (String.length viewer); ":"; viewer; data ]
 
+(* Total: the length prefix is one or more ASCII digits, parsed here
+   rather than by [int_of_string] (which also takes signs, [0x] and
+   [_]), and it stops growing once it exceeds the argument, so it
+   cannot overflow. *)
 let decode_arg arg =
-  match Record.decode arg with
-  | Error _ -> None
-  | Ok r ->
-      let viewer =
-        match Record.get_or r "viewer" ~default:"" with
-        | "" -> None
-        | v -> Some v
-      in
-      Some (viewer, Record.get_or r "data" ~default:"")
+  let n = String.length arg in
+  let rec prefix i len =
+    if i = n then None
+    else
+      match arg.[i] with
+      | ':' when i > 0 -> Some (i + 1, len)
+      | '0' .. '9' as d when len <= n ->
+          prefix (i + 1) ((len * 10) + Char.code d - Char.code '0')
+      | _ -> None
+  in
+  match prefix 0 0 with
+  | Some (start, len) when len <= n - start ->
+      let viewer = if len = 0 then None else Some (String.sub arg start len) in
+      Some (viewer, String.sub arg (start + len) (n - start - len))
+  | Some _ | None -> None
 
 let owner_secrecy_tags (account : Account.t) =
   account.Account.secret_tag

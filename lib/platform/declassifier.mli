@@ -33,11 +33,17 @@ val gate_name : owner:string -> name:string -> string
 (** ["declass/<owner>/<name>"]. *)
 
 val encode_arg : viewer:string option -> data:string -> string
-(** The wire format the perimeter uses to call a gate. *)
+(** The wire format the perimeter uses to call a gate: the frame
+    [<n>:<viewer><data>], where [<n>] is the viewer's length in
+    decimal and an empty viewer ([0:]) means anonymous. The payload is
+    copied once and never escaped. *)
 
 val decode_arg : string -> (string option * string) option
-(** The inverse of {!encode_arg}, used by every gate; [None] for a
-    malformed argument, which the gate treats as a refusal. *)
+(** The inverse of {!encode_arg}, used by every gate. It never raises:
+    it returns [None] when the argument has no [':'], when the prefix
+    before the first [':'] is empty or holds anything but ASCII digits
+    (so no sign, [0x] or [_]), or when the length runs past the end.
+    A gate treats [None] as a refusal. *)
 
 val install : Platform.t -> account:Account.t -> name:string -> logic -> string
 (** Register the gate for this account and return its name. The gate's

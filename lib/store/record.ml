@@ -30,44 +30,67 @@ let get_list r key =
 let set_list r key vs = set r key (String.concat "," vs)
 
 (* Percent-escape the three characters that would break the
-   line-oriented encoding. *)
+   line-oriented encoding. The clean runs between them are copied in
+   bulk, and a string with none of them comes back itself, uncopied. *)
 let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string buf "%25"
-      | '=' -> Buffer.add_string buf "%3d"
-      | '\n' -> Buffer.add_string buf "%0a"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
   let n = String.length s in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents buf)
-    else if s.[i] = '%' then
-      if i + 2 >= n then Error "truncated escape"
-      else
-        match String.sub s (i + 1) 2 with
-        | "25" ->
-            Buffer.add_char buf '%';
-            go (i + 3)
-        | "3d" ->
-            Buffer.add_char buf '=';
-            go (i + 3)
-        | "0a" ->
-            Buffer.add_char buf '\n';
-            go (i + 3)
-        | esc -> Error ("unknown escape %" ^ esc)
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
+  let rec next_escaped i =
+    if i = n then n
+    else
+      match String.unsafe_get s i with
+      | '%' | '=' | '\n' -> i
+      | _ -> next_escaped (i + 1)
   in
-  go 0
+  let first = next_escaped 0 in
+  if first = n then s
+  else begin
+    let buf = Buffer.create (n + 16) in
+    let rec go start stop =
+      Buffer.add_substring buf s start (stop - start);
+      if stop < n then begin
+        Buffer.add_string buf
+          (match String.unsafe_get s stop with
+          | '%' -> "%25"
+          | '=' -> "%3d"
+          | _ -> "%0a");
+        go (stop + 1) (next_escaped (stop + 1))
+      end
+    in
+    go 0 first;
+    Buffer.contents buf
+  end
+
+(* The inverse of [escape], with the same bulk copies: a string with
+   no '%' comes back itself. *)
+let unescape s =
+  match String.index_opt s '%' with
+  | None -> Ok s
+  | Some first ->
+      let n = String.length s in
+      let buf = Buffer.create n in
+      let rec go start pct =
+        Buffer.add_substring buf s start (pct - start);
+        if pct + 2 >= n then Error "truncated escape"
+        else
+          let decoded =
+            match (s.[pct + 1], s.[pct + 2]) with
+            | '2', '5' -> Some '%'
+            | '3', 'd' -> Some '='
+            | '0', 'a' -> Some '\n'
+            | _ -> None
+          in
+          match decoded with
+          | None -> Error ("unknown escape %" ^ String.sub s (pct + 1) 2)
+          | Some c -> (
+              Buffer.add_char buf c;
+              let start = pct + 3 in
+              match String.index_from_opt s start '%' with
+              | Some pct -> go start pct
+              | None ->
+                  Buffer.add_substring buf s start (n - start);
+                  Ok (Buffer.contents buf))
+      in
+      go 0 first
 
 let encode r =
   String.concat "\n"

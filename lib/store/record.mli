@@ -8,8 +8,12 @@
     application (and any editor auditing one) can decode any record.
 
     Encoding: one [key=value] line per field; ['%'], ['='] and
-    newlines inside keys or values are percent-escaped, so decoding is
-    unambiguous and round-trips exactly. *)
+    newlines inside keys or values are percent-escaped ([%25], [%3d],
+    [%0a]), so decoding is unambiguous and round-trips exactly. The
+    codec copies the runs between escapes in bulk. The encoding itself
+    is fixed: stored records, snapshots, bundles and sync payloads are
+    these bytes, and a differential test holds the codec to a
+    byte-at-a-time reference. *)
 
 type t
 

@@ -70,8 +70,11 @@ let test_record_decode_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected escape error"
 
+(* Any byte, with the three the encoding escapes drawn often. *)
 let gen_field_string =
-  QCheck.Gen.(string_size (0 -- 12) ~gen:(map Char.chr (32 -- 126)))
+  QCheck.Gen.(
+    string_size (0 -- 12)
+      ~gen:(frequency [ (1, oneofl [ '%'; '='; '\n' ]); (4, char) ]))
 
 let arb_record =
   QCheck.make
@@ -86,6 +89,44 @@ let prop_record_roundtrip =
       match Record.decode (Record.encode r) with
       | Ok r' -> Record.equal r r'
       | Error _ -> false)
+
+let test_record_format_pinned () =
+  let encode fields = Record.encode (Record.of_fields fields) in
+  check string_c "escapes" "k%3dey=v%25%0a" (encode [ ("k=ey", "v%\n") ]);
+  check string_c "one line per field" "a=1\nb=" (encode [ ("a", "1"); ("b", "") ]);
+  check string_c "empty record" "" (encode []);
+  match Record.decode "k%3dey=v%25%0a\na=b" with
+  | Ok r ->
+      check
+        (Alcotest.list (Alcotest.pair string_c string_c))
+        "decodes" [ ("k=ey", "v%\n"); ("a", "b") ] (Record.fields r)
+  | Error e -> Alcotest.failf "decode failed: %s" e
+
+(* Strings over the escaped bytes and the digits and letters of their
+   escapes, so valid, unknown and truncated escapes, separators and
+   missing '=' all occur. *)
+let gen_codec_string size =
+  QCheck.Gen.(
+    string_size size
+      ~gen:(oneofl [ '%'; '='; '\n'; '2'; '5'; '3'; 'd'; '0'; 'a'; 'z' ]))
+
+let prop_record_matches_reference =
+  QCheck.Test.make ~name:"record codec agrees with the byte-by-byte reference"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair string string)) string)
+       QCheck.Gen.(
+         pair
+           (list_size (0 -- 6)
+              (pair (gen_codec_string (0 -- 8)) (gen_codec_string (0 -- 8))))
+           (gen_codec_string (0 -- 40))))
+    (fun (fields, raw) ->
+      let decodes_alike s =
+        Result.map Record.fields (Record.decode s) = Record_ref.decode s
+      in
+      Record.encode (Record.of_fields fields) = Record_ref.encode fields
+      && decodes_alike (Record_ref.encode fields)
+      && decodes_alike raw)
 
 (* ---- object store ---- *)
 
@@ -240,7 +281,8 @@ let suite =
     Alcotest.test_case "covert channel blocked at export" `Quick
       test_query_covert_channel_blocked_at_export;
   ]
-  @ qsuite [ prop_record_roundtrip ]
+  @ [ Alcotest.test_case "record format pinned" `Quick test_record_format_pinned ]
+  @ qsuite [ prop_record_roundtrip; prop_record_matches_reference ]
 
 (* ---- additional store edges ---- *)
 

@@ -16,8 +16,10 @@ test:
 # scripted breach (the flight recorder must always be able to narrate
 # a denial), the federated trace / health goldens (byte-for-byte;
 # `w5 health` must judge the scripted faulty peer degraded, exit 2),
-# and the scripted soak summary golden (`w5 soak` byte-for-byte —
-# the seeded scheduler must be deterministic across processes).
+# the scripted soak summary golden (`w5 soak` byte-for-byte —
+# the seeded scheduler must be deterministic across processes), and
+# the telemetry golden (`w5 stats`: every metric, the tick histograms
+# and the last trace tree, byte-for-byte).
 check: vet
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --only provenance --smoke
@@ -30,6 +32,7 @@ check: vet
 	dune exec bin/w5.exe -- health | diff -u test/golden/health.txt -
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2
 	dune exec bin/w5.exe -- soak | diff -u test/golden/soak.txt -
+	dune exec bin/w5.exe -- stats | diff -u test/golden/stats.txt -
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

@@ -484,8 +484,8 @@ let fold_audit (model : Mhp.model) log =
           if tid.(k) <> t then begin
             foreign := true;
             (* intrusion into a gate-atomic adjacency is a violation:
-               batches flush contiguously, so this never fires on a
-               real log *)
+               a gate child runs to completion unpreempted, so this
+               never fires on a real log *)
             if atomic.(i) && atomic.(j) then
               note_violation
                 (Printf.sprintf

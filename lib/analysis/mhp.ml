@@ -36,8 +36,8 @@ let spec_of model op =
 
 (* May the scheduler take the CPU away immediately *before* [step]
    runs? Only if the op's dispatch crosses the entry preemption point
-   at audit depth 0 — which a gate-body step never does when gate
-   children are atomic. Ops whose spec declares [entry_preempt =
+   with the hook in place — which a gate-body step never does when
+   gate children are atomic. Ops whose spec declares [entry_preempt =
    false] (probe-only) are not preemption points at all. *)
 let preempt_before model step =
   match spec_of model step.op with

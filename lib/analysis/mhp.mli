@@ -12,7 +12,7 @@
     instances can end up adjacent in a real interleaving. *)
 
 type context =
-  | Direct  (** an ordinary dispatch at audit depth 0 *)
+  | Direct  (** an ordinary dispatch by the process itself *)
   | Gate_body  (** runs nested inside a caller's gate invocation *)
 
 type step = { ctx : context; op : string }

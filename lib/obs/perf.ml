@@ -16,19 +16,6 @@ let tick_buckets = [ 0; 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 
 let latency registry ?(help = "") name =
   Metrics.histogram registry ~help ~buckets:tick_buckets name
 
-(* Time [f] on [clock] (a logical-tick reader) and record the delta.
-   The observation happens even when [f] raises: a killed process's
-   partial syscall still consumed its ticks. *)
-let time metric ?(labels = []) ~clock f =
-  let t0 = clock () in
-  match f () with
-  | v ->
-      Metrics.observe metric ~labels (clock () - t0);
-      v
-  | exception exn ->
-      Metrics.observe metric ~labels (clock () - t0);
-      raise exn
-
 (* ---- quantiles from bucket counts ---- *)
 
 (* An estimate derived from a cumulative histogram is an upper bound:

@@ -3,9 +3,9 @@
     Latency here is {e logical}: durations are kernel-tick deltas, so
     the same workload produces byte-identical histograms everywhere —
     no wall clock, no covert timing channel, goldenable output. The
-    module supplies the shared log-scaled bucket ladder, a timing
-    bracket, and p50/p95/p99 estimation from bucket counts (used by
-    the exposition layer and [w5 stats]). *)
+    module supplies the shared log-scaled bucket ladder and p50/p95/p99
+    estimation from bucket counts (used by the exposition layer and
+    [w5 stats]). *)
 
 val tick_buckets : int list
 (** The shared bucket ladder for tick-latency histograms: [0], then
@@ -13,13 +13,6 @@ val tick_buckets : int list
 
 val latency : Metrics.t -> ?help:string -> string -> Metrics.metric
 (** Register (or look up) a latency histogram on {!tick_buckets}. *)
-
-val time :
-  Metrics.metric -> ?labels:Metrics.labels -> clock:(unit -> int) ->
-  (unit -> 'a) -> 'a
-(** [time m ~clock f] runs [f] and records [clock () - clock ()_before]
-    into [m]. The observation is recorded even when [f] raises (the
-    ticks were consumed either way). *)
 
 (** {1 Quantiles from bucket counts} *)
 

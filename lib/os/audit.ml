@@ -52,26 +52,16 @@ type log = {
 
 let create ?capacity () = { seq = 0; items = []; count = 0; capacity }
 
-let truncate log =
+let record log ~tick ~pid event =
+  log.seq <- log.seq + 1;
+  log.items <- { seq = log.seq; tick; pid; event } :: log.items;
+  log.count <- log.count + 1;
   match log.capacity with
   | Some cap when log.count > 2 * cap ->
       (* amortized truncation: keep the newest [cap] entries *)
       log.items <- List.filteri (fun i _ -> i < cap) log.items;
       log.count <- cap
   | Some _ | None -> ()
-
-let push log ~tick ~pid event =
-  log.seq <- log.seq + 1;
-  log.items <- { seq = log.seq; tick; pid; event } :: log.items;
-  log.count <- log.count + 1
-
-let record log ~tick ~pid event =
-  push log ~tick ~pid event;
-  truncate log
-
-let record_batch log events =
-  List.iter (fun (tick, pid, event) -> push log ~tick ~pid event) events;
-  truncate log
 
 let length log = log.count
 let evicted log = log.seq - log.count

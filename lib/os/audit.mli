@@ -91,14 +91,6 @@ val create : ?capacity:int -> unit -> log
 
 val record : log -> tick:int -> pid:int -> event -> unit
 
-val record_batch : log -> (int * int * event) list -> unit
-(** Append [(tick, pid, event)] entries, oldest first, paying the
-    capacity bookkeeping once for the whole batch instead of per
-    entry. Sequence numbers are assigned as if {!record} had been
-    folded over the list; amortized truncation may fire at a
-    different point than per-entry appends would, but always keeps at
-    least the newest [capacity] entries. *)
-
 val length : log -> int
 
 val evicted : log -> int

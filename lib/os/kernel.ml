@@ -34,15 +34,10 @@ and t = {
   k_metrics : Metrics.t;
   k_tracer : Tracer.t;
   k_meters : meters;
-  (* Audit batching: while [k_audit_depth > 0] (inside a syscall
-     dispatch), events queue here and are appended in one
-     [Audit.record_batch] when the outermost dispatch ends — one
-     capacity check per syscall instead of one per event. *)
-  mutable k_audit_depth : int;
-  k_audit_buf : (int * int * Audit.event) Queue.t;
   (* Installed by the scheduler (Sched) for the duration of a drain:
      called by the syscall layer at every dispatch entry so a running
-     process can be preempted at kernel-crossing boundaries. *)
+     process can be preempted at kernel-crossing boundaries. Set aside
+     while a gate child runs ([invoke_gate]). *)
   mutable k_preempt : (Proc.t -> unit) option;
   mutable k_locals : local list;
 }
@@ -117,8 +112,6 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       k_metrics;
       k_tracer = Tracer.create ();
       k_meters = make_meters k_metrics;
-      k_audit_depth = 0;
-      k_audit_buf = Queue.create ();
       k_preempt = None;
       k_locals = [];
     }
@@ -166,38 +159,14 @@ end
 let record k ~pid event =
   Metrics.inc k.k_meters.audit_events
     ~labels:[ ("event", Audit.event_kind event) ];
-  if k.k_audit_depth > 0 then Queue.add (k.k_tick, pid, event) k.k_audit_buf
-  else Audit.record k.k_audit ~tick:k.k_tick ~pid event
-
-let flush_audit k =
-  if not (Queue.is_empty k.k_audit_buf) then begin
-    let items =
-      List.rev (Queue.fold (fun acc e -> e :: acc) [] k.k_audit_buf)
-    in
-    Queue.clear k.k_audit_buf;
-    Audit.record_batch k.k_audit items
-  end
-
-let with_audit_batch k f =
-  k.k_audit_depth <- k.k_audit_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      k.k_audit_depth <- k.k_audit_depth - 1;
-      if k.k_audit_depth = 0 then flush_audit k)
-    f
+  Audit.record k.k_audit ~tick:k.k_tick ~pid event
 
 let set_preempt_hook k hook = k.k_preempt <- hook
 
-(* Preemption points sit at syscall-dispatch entry, and only at audit
-   depth 0: a nested dispatch (a gate child's syscalls inside the
-   caller's open audit batch) must never suspend with the kernel-wide
-   batch buffer half-filled, or another process's events would land in
-   it. Depth-0 entries are exactly the boundaries where the kernel
-   holds no per-call state. *)
+(* Preemption points sit at syscall-dispatch entry. A gate child never
+   meets one: [invoke_gate] sets the hook aside while the child runs. *)
 let preempt_point k proc =
-  match k.k_preempt with
-  | Some hook when k.k_audit_depth = 0 -> hook proc
-  | Some _ | None -> ()
+  match k.k_preempt with Some hook -> hook proc | None -> ()
 
 let fresh_pid k =
   k.next_pid <- k.next_pid + 1;
@@ -363,8 +332,15 @@ let invoke_gate k ~caller ~name ~arg =
           Metrics.inc k.k_meters.gate_invocations ~labels:[ ("gate", name) ];
           record k ~pid:caller.Proc.pid
             (Audit.Gate_invoked { gate = name; child = pid });
-          Tracer.with_span k.k_tracer
-            ~clock:(fun () -> k.k_tick)
-            ("gate:" ^ name)
-            (fun () -> run_proc k proc);
+          (* Privilege transfer is atomic: with the preemption hook set
+             aside no scheduler can suspend the child, and [run_proc]
+             never raises, so the hook always comes back. *)
+          let hook = k.k_preempt in
+          let traced = Tracer.enabled k.k_tracer in
+          k.k_preempt <- None;
+          if traced then
+            Tracer.start_span k.k_tracer ~tick:k.k_tick proc.Proc.proc_name;
+          run_proc k proc;
+          if traced then Tracer.end_span k.k_tracer ~tick:k.k_tick;
+          k.k_preempt <- hook;
           Ok proc)

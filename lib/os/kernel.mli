@@ -153,10 +153,9 @@ val set_preempt_hook : t -> (Proc.t -> unit) option -> unit
     active per kernel. *)
 
 val preempt_point : t -> Proc.t -> unit
-(** Fire the preemption hook, if installed — but only at audit depth 0,
-    so an audit batch can never be suspended half-filled and have
-    another process's events interleaved into it. The syscall layer
-    calls this at dispatch entry; it is a no-op without a hook. *)
+(** Fire the preemption hook, if installed. The syscall layer calls
+    this at dispatch entry; it is a no-op without a hook, and so inside
+    a gate child, which {!invoke_gate} runs with the hook set aside. *)
 
 val finish_proc : t -> Proc.t -> unit
 (** Mark a process [Exited] and stamp {!Proc.t.finished_tick}. *)
@@ -202,17 +201,12 @@ val invoke_gate :
 (** Spawn a child carrying the {e caller's} labels but the {e gate's}
     capabilities, run it synchronously on [arg], and return it (its
     answer, if any, is in [child.Proc.response]). The caller is
-    charged one process. *)
+    charged one process. The child runs with the preemption hook set
+    aside, so no scheduler can suspend it: privilege transfer is
+    atomic. *)
 
 val record : t -> pid:int -> Audit.event -> unit
-(** Append to the audit log at the current tick. Inside a
-    {!with_audit_batch} scope the entry is buffered (with the tick and
-    pid captured now) and appended when the scope closes. *)
-
-val with_audit_batch : t -> (unit -> 'a) -> 'a
-(** Run [f] with audit events buffered, then append them in one
-    {!Audit.record_batch} — one capacity check per scope instead of
-    one per event. Scopes nest (the buffer drains when the outermost
-    one ends) and flush even if [f] raises, so a quota kill's own
-    events still land before the kernel records the kill. Syscall
-    dispatch wraps every syscall in one of these. *)
+(** Append to the audit log now, at the current tick, and count the
+    event in [w5_audit_events_total]. Entries land in the order they
+    happen, so a quota kill's [Quota_hit]/[Killed] follow the events
+    its last syscall recorded. *)

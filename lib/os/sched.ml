@@ -152,14 +152,14 @@ let policy t = t.policy
    fails. *)
 
 (* [hook] performs Yield only from inside [Kernel.preempt_point],
-   which syscall dispatch crosses exactly once, at entry, before the
-   audit batch opens — there are no mid-syscall preemption points. *)
+   which syscall dispatch crosses exactly once, at entry — there are
+   no mid-syscall preemption points. *)
 let entry_preemption_only = true
 
-(* A gate child runs nested inside the caller's dispatch (audit depth
-   >= 1) and under a pid different from [t.current]; both conditions
-   independently keep [hook] from firing, so a gate body can never be
-   torn by this scheduler. *)
+(* A gate child runs with the kernel's preemption hook set aside
+   ([Kernel.invoke_gate]) and under a pid different from [t.current];
+   both conditions independently keep [hook] from firing, so a gate
+   body can never be torn by this scheduler. *)
 let gate_children_atomic = true
 
 let stats t =
@@ -210,8 +210,8 @@ let pick t =
 
 (* A process killed while suspended (possible if a test kills it by
    hand between slices) still holds a frozen stack; discontinue it so
-   its Fun.protect finalizers — the audit-batch flush among them —
-   run before the slot is dropped. *)
+   any finalizers on that stack (an application's own Fun.protect,
+   say) run before the slot is dropped. *)
 let discard_dead slot =
   match slot.s_resume with
   | Start _ -> ()

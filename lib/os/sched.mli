@@ -16,12 +16,12 @@
     [sched] QCheck suite pins down).
 
     {b Why preemption can't tear state.} Suspension happens only at
-    syscall-dispatch {e entry}, and only at audit depth 0
-    ({!Kernel.preempt_point}): the kernel holds no per-call state and
-    no half-filled audit batch at those points, so a context switch
-    can never interleave one process's audit events or label checks
-    into another's. Gate children run nested inside their caller's
-    dispatch (audit depth > 0) and are thus never preempted —
+    syscall-dispatch {e entry} ({!Kernel.preempt_point}): the kernel
+    holds no per-call state there, and every audit event is appended
+    the moment it happens, so a context switch can never interleave
+    one process's audit events or label checks into another's within
+    a syscall. Gate children run with the preemption hook set aside
+    ({!Kernel.invoke_gate}) and are thus never preempted —
     privilege-transfer stays atomic. *)
 
 type t
@@ -82,9 +82,9 @@ val entry_preemption_only : bool
     the middle of a syscall body. *)
 
 val gate_children_atomic : bool
-(** [true]: a gate child runs nested inside its caller's dispatch
-    (audit depth > 0, pid ≠ current), so neither it nor the enclosing
-    privilege transfer can be preempted. *)
+(** [true]: a gate child runs with the preemption hook set aside
+    (and pid ≠ current), so neither it nor the enclosing privilege
+    transfer can be preempted. *)
 
 val stats : t -> stats
 (** Cumulative counters since {!create}. *)

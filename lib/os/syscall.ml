@@ -259,43 +259,51 @@ let charge (ctx : Kernel.ctx) kind n =
   | Ok () -> ()
   | Error k -> raise (Kernel.Quota_kill k)
 
-(* Syscall entry: one CPU unit, one clock tick, one telemetry count.
-   [op] is the syscall name — a closed, low-cardinality set. *)
-let enter ctx op =
-  charge ctx Resource.Cpu 1;
+(* Syscall entry: [cpu] CPU units (one for a dispatched syscall), one
+   clock tick, one telemetry count. [op] is the syscall name — a
+   closed, low-cardinality set. *)
+let enter ctx ~cpu op =
+  charge ctx Resource.Cpu cpu;
   Kernel.advance_clock ctx.Kernel.kernel;
   Metrics.inc (Kernel.meters ctx.Kernel.kernel).Kernel.syscalls
     ~labels:[ ("op", op) ]
 
-(* Bracket a syscall body: time it on the logical clock into the
-   kernel's per-op latency histogram, and (only when the tracer is
-   enabled, e.g. under `w5 stats --trace`) wrap it in a trace span.
-   [t0] is read before [enter] advances the clock, so even the
-   simplest syscall observes its own crossing; composite syscalls
-   (gate invocations, tainting reads) observe every tick they drove. *)
+(* The exit half of [dispatch], on a return and on a raise alike: a
+   killed process's partial syscall still consumed its ticks. *)
+let leave kernel ~traced op t0 =
+  let t1 = Kernel.tick kernel in
+  Metrics.observe (Kernel.meters kernel).Kernel.syscall_ticks
+    ~labels:[ ("op", op) ] (t1 - t0);
+  if traced then Tracer.end_span (Kernel.tracer kernel) ~tick:t1
+
+(* Bracket a syscall body: cross the scheduler's preemption point,
+   enter, run, and observe the ticks it took in the kernel's per-op
+   latency histogram — inside a trace span only when the tracer is on
+   (e.g. under `w5 stats`). [t0] is read before [enter] advances the
+   clock, so even the simplest syscall observes its own crossing;
+   composite syscalls (gate invocations, tainting reads) observe every
+   tick they drove. *)
 let dispatch ctx (spec : Spec.t) f =
   let kernel = ctx.Kernel.kernel in
   let op = spec.Spec.op in
   (* Dispatch entry is the kernel-crossing boundary: the only point
-     where a scheduler may preempt the running process. Fired before
-     the audit batch opens so a suspension never splits a batch.
-     Whether an op crosses it is part of its declared footprint. *)
+     where a scheduler may preempt the running process. Whether an op
+     crosses it is part of its declared footprint. *)
   if spec.Spec.entry_preempt then Kernel.preempt_point kernel ctx.Kernel.proc;
-  let clock () = Kernel.tick kernel in
-  let timed () =
-    (* Batch the syscall's audit appends: a call that passes its checks
-       pays one log append (and one capacity check) at dispatch exit,
-       not one per recorded event. *)
-    Kernel.with_audit_batch kernel @@ fun () ->
-    Perf.time (Kernel.meters kernel).Kernel.syscall_ticks
-      ~labels:[ ("op", op) ] ~clock
-      (fun () ->
-        enter ctx op;
-        f ())
-  in
   let tracer = Kernel.tracer kernel in
-  if not (Tracer.enabled tracer) then timed ()
-  else Tracer.with_span tracer ~clock ("sys." ^ op) timed
+  let traced = Tracer.enabled tracer in
+  let t0 = Kernel.tick kernel in
+  if traced then Tracer.start_span tracer ~tick:t0 ("sys." ^ op);
+  match
+    enter ctx ~cpu:1 op;
+    f ()
+  with
+  | result ->
+      leave kernel ~traced op t0;
+      result
+  | exception exn ->
+      leave kernel ~traced op t0;
+      raise exn
 
 let enforcing (ctx : Kernel.ctx) = Kernel.enforcing ctx.kernel
 
@@ -855,10 +863,7 @@ let consume ctx ~cpu =
      preemption point (Spec.proc_consume.entry_preempt) *)
   if Spec.proc_consume.Spec.entry_preempt then
     Kernel.preempt_point ctx.Kernel.kernel ctx.Kernel.proc;
-  charge ctx Resource.Cpu cpu;
-  Kernel.advance_clock ctx.Kernel.kernel;
-  Metrics.inc (Kernel.meters ctx.Kernel.kernel).Kernel.syscalls
-    ~labels:[ ("op", Spec.proc_consume.Spec.op) ];
+  enter ctx ~cpu Spec.proc_consume.Spec.op;
   Ok ()
 
 let debug_note ctx note =

@@ -442,9 +442,9 @@ let throttled platform ~viewer request =
 
 (* Routing resolves either to a provider front-end page (handled
    inline — these are trusted, cheap, and never spawn a process) or to
-   an application dispatch, which the caller runs synchronously
-   ({!handler}) or schedules ({!submit}/{!conclude}). Throttling and
-   the enablement check happen here, so both paths share them. *)
+   an application dispatch, which [submit] spawns and [conclude] runs
+   (if no scheduler has) and exports. Throttling and the enablement
+   check happen here. *)
 type routed =
   | Page of Response.t
   | Dispatch of { app_id : string; version : string option }
@@ -522,52 +522,7 @@ let dns_route_of platform request =
       | Some Dns.Front_end | Some (Dns.Cname _) | None -> None)
   | _ -> None
 
-(* Request telemetry, shared by the synchronous handler and the
-   scheduled conclude path: counter, latency histogram, SLO ledger.
-   Route labels are a closed set (see [route_label]); [t0]/[t1] bound
-   the request on the logical clock. *)
-let record_request platform ~route ~t0 ~t1 response =
-  let metrics = W5_os.Kernel.metrics (Platform.kernel platform) in
-  let status = string_of_int (Response.status_code response.Response.status) in
-  W5_obs.Metrics.inc
-    (W5_obs.Metrics.counter metrics "w5_gateway_requests_total"
-       ~help:"HTTP requests by route and status")
-    ~labels:[ ("route", route); ("status", status) ];
-  W5_obs.Metrics.observe
-    (W5_obs.Perf.latency metrics "w5_gateway_request_ticks"
-       ~help:"Logical ticks consumed per request, by route")
-    ~labels:[ ("route", route) ]
-    (t1 - t0);
-  W5_obs.Health.Slo.observe (slo_of platform) ~route ~tick:t1
-    ~status:(Response.status_code response.Response.status)
-
-let handler platform request =
-  let kernel = Platform.kernel platform in
-  let tracer = W5_os.Kernel.tracer kernel in
-  let viewer = viewer_of platform request in
-  let dns_route = dns_route_of platform request in
-  let route = route_label request ~dns_route in
-  let t0 = Kernel.tick kernel in
-  W5_obs.Tracer.start_span tracer ~tick:t0 ("gateway:" ^ route);
-  let response =
-    match
-      (match route_request platform request ~viewer ~dns_route with
-      | Page r -> r
-      | Dispatch { app_id; version } ->
-          dispatch_app platform ~viewer ~app_id ?version request)
-    with
-    | response -> response
-    | exception exn ->
-        W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
-        raise exn
-  in
-  let status = string_of_int (Response.status_code response.Response.status) in
-  W5_obs.Tracer.annotate tracer [ ("status", status) ];
-  W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
-  record_request platform ~route ~t0 ~t1:(Kernel.tick kernel) response;
-  response
-
-(* ---- scheduled admission: submit now, conclude after a drain ---- *)
+(* ---- one request path: submit now, conclude after a drain ---- *)
 
 type pending = {
   p_route : string;
@@ -601,15 +556,40 @@ let in_flight pending =
   | In_flight proc -> Proc.is_alive proc
   | Done _ -> false
 
+(* Request telemetry: counter, latency histogram, SLO ledger. Route
+   labels are a closed set (see [route_label]); [t0]/[t1] bound the
+   request on the logical clock. *)
+let record_request platform ~route ~t0 ~t1 response =
+  let metrics = W5_os.Kernel.metrics (Platform.kernel platform) in
+  let status = string_of_int (Response.status_code response.Response.status) in
+  W5_obs.Metrics.inc
+    (W5_obs.Metrics.counter metrics "w5_gateway_requests_total"
+       ~help:"HTTP requests by route and status")
+    ~labels:[ ("route", route); ("status", status) ];
+  W5_obs.Metrics.observe
+    (W5_obs.Perf.latency metrics "w5_gateway_request_ticks"
+       ~help:"Logical ticks consumed per request, by route")
+    ~labels:[ ("route", route) ]
+    (t1 - t0);
+  W5_obs.Health.Slo.observe (slo_of platform) ~route ~tick:t1
+    ~status:(Response.status_code response.Response.status)
+
 let conclude platform pending =
   let kernel = Platform.kernel platform in
   let tracer = W5_os.Kernel.tracer kernel in
+  let traced = W5_obs.Tracer.enabled tracer in
+  (* One balanced span per request, opened here at the submit tick:
+     slices interleave, spans must not. A process that has not run yet
+     runs inside it, so its syscalls, gates and export nest under it. *)
+  if traced then
+    W5_obs.Tracer.start_span tracer ~tick:pending.p_submit_tick
+      ("gateway:" ^ pending.p_route);
   let response, t1 =
     match pending.p_state with
     | Done (r, t) -> (r, t)
     | In_flight proc ->
         (* normally the scheduler already drove it to completion; a
-           conclude without a drain degrades to the synchronous path *)
+           conclude without a drain runs it now *)
         Kernel.run_proc kernel proc;
         let t1 =
           match proc.Proc.finished_tick with
@@ -618,16 +598,14 @@ let conclude platform pending =
         in
         (conclude_app platform ~viewer:pending.p_viewer proc, t1)
   in
-  (* One balanced span per request, emitted at conclusion with the
-     submit→finish bounds: slices interleave, spans must not. *)
-  if W5_obs.Tracer.enabled tracer then begin
-    W5_obs.Tracer.start_span tracer ~tick:pending.p_submit_tick
-      ~fields:
-        [ ("status",
-           string_of_int (Response.status_code response.Response.status)) ]
-      ("gateway:" ^ pending.p_route);
-    W5_obs.Tracer.end_span tracer ~tick:t1
+  if traced then begin
+    W5_obs.Tracer.annotate tracer
+      [ ("status",
+         string_of_int (Response.status_code response.Response.status)) ];
+    W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel)
   end;
   record_request platform ~route:pending.p_route ~t0:pending.p_submit_tick ~t1
     response;
   response
+
+let handler platform request = conclude platform (submit platform request)

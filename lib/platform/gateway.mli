@@ -35,10 +35,12 @@
 open W5_http
 
 val handler : Platform.t -> Request.t -> Response.t
-(** The perimeter-facing server; plug directly into {!Client.make}. *)
+(** The perimeter-facing server; plug directly into {!Client.make}.
+    It is [conclude platform (submit platform request)]: one request
+    path, whether or not a scheduler runs in between. *)
 
 val slo_of : Platform.t -> W5_obs.Health.Slo.t
-(** This platform's per-route SLO/error-budget ledger. {!handler}
+(** This platform's per-route SLO/error-budget ledger. {!conclude}
     feeds it on every request (route label and status code only —
     the same closed vocabulary as the request counters); [w5 health]
     renders it. Created on first use, default window/objective. *)
@@ -56,11 +58,13 @@ val dispatch_app :
     spawn — without running the application, so thousands of requests
     can be in flight before a {!W5_os.Sched} drain interleaves them;
     {!conclude} then reads each process's outcome and pushes it
-    through the perimeter exactly as {!handler} would have. Provider
-    front-end pages (trusted, cheap, no process) complete at submit
-    time. Request metrics, latency (admission tick to the process's
-    finish tick), SLO spend, and one balanced trace span per request
-    are all recorded at conclusion. *)
+    through the perimeter; {!handler} is the two back to back.
+    Provider front-end pages (trusted, cheap, no process) complete at
+    submit time, before the request's span opens. Request metrics,
+    latency (admission tick to the process's finish tick, so the
+    perimeter's gate ticks are not in it), SLO spend, and one balanced
+    trace span per request (opened at the admission tick) are all
+    recorded at conclusion. *)
 
 type pending
 (** An admitted request awaiting its outcome. *)
@@ -72,6 +76,6 @@ val in_flight : pending -> bool
     exited, or killed). *)
 
 val conclude : Platform.t -> pending -> Response.t
-(** Resolve the request. If its process somehow has not run yet (no
-    drain happened), it is run synchronously first, so
-    [submit |> conclude] without a scheduler equals {!handler}. *)
+(** Resolve the request. If its process has not run yet (no drain
+    happened), it runs first, inside the request's trace span, so its
+    syscalls, gate calls and export nest under it. *)

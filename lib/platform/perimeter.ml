@@ -80,13 +80,15 @@ let export platform ?(source = 0) ~viewer ~data ~labels () =
          ~help:"Logical ticks consumed per perimeter export check, by decision")
       ~labels:[ ("decision", verdict) ]
       (Kernel.tick kernel - t0);
-    W5_obs.Tracer.event (Kernel.tracer kernel) ~tick:(Kernel.tick kernel)
-      ~fields:
-        [
-          ("decision", verdict);
-          ("secrecy", string_of_int (Label.cardinal labels.Flow.secrecy));
-        ]
-      "perimeter.export";
+    let tracer = Kernel.tracer kernel in
+    if W5_obs.Tracer.enabled tracer then
+      W5_obs.Tracer.event tracer ~tick:(Kernel.tick kernel)
+        ~fields:
+          [
+            ("decision", verdict);
+            ("secrecy", string_of_int (Label.cardinal labels.Flow.secrecy));
+          ]
+        "perimeter.export";
     Kernel.record kernel ~pid:source
       (Audit.Export_attempted { destination; labels; decision })
   in

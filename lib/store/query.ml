@@ -25,20 +25,6 @@ let ( ||| ) p q = Or (p, q)
 let not_ p = Not p
 let custom f = Custom f
 
-(* Iterative substring search: field values can be megabytes, and one
-   stack frame per character overflows. *)
-let contains ~needle haystack =
-  let vn = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + nn <= vn do
-      if String.sub haystack !i nn = needle then found := true else incr i
-    done;
-    !found
-  end
-
 let rec eval p r =
   match p with
   | Always -> true
@@ -46,7 +32,7 @@ let rec eval p r =
   | Field_contains (key, needle) -> (
       match Record.get r key with
       | None -> false
-      | Some v -> contains ~needle v)
+      | Some v -> W5_http.Substring.contains v needle)
   | Field_int_at_least (key, threshold) -> (
       match Record.get_int r key with
       | None -> false

@@ -60,64 +60,66 @@ let escape s =
     Buffer.contents buf
   end
 
-(* The inverse of [escape], with the same bulk copies: a string with
-   no '%' comes back itself. *)
-let unescape s =
-  match String.index_opt s '%' with
-  | None -> Ok s
-  | Some first ->
-      let n = String.length s in
-      let buf = Buffer.create n in
-      let rec go start pct =
-        Buffer.add_substring buf s start (pct - start);
-        if pct + 2 >= n then Error "truncated escape"
-        else
-          let decoded =
-            match (s.[pct + 1], s.[pct + 2]) with
-            | '2', '5' -> Some '%'
-            | '3', 'd' -> Some '='
-            | '0', 'a' -> Some '\n'
-            | _ -> None
-          in
-          match decoded with
-          | None -> Error ("unknown escape %" ^ String.sub s (pct + 1) 2)
-          | Some c -> (
-              Buffer.add_char buf c;
-              let start = pct + 3 in
-              match String.index_from_opt s start '%' with
-              | Some pct -> go start pct
-              | None ->
-                  Buffer.add_substring buf s start (n - start);
-                  Ok (Buffer.contents buf))
+(* The first [c] in [s] from [i] on, or [j] if there is none before
+   [j]. Every scan in [decode] is bounded by its line or field, so no
+   byte of a record is looked at more than a few times. *)
+let rec index_in s c i j =
+  if i >= j || String.unsafe_get s i = c then i else index_in s c (i + 1) j
+
+(* The inverse of [escape] on the range [i, j) of [s], whose first '%'
+   is at [pct]: the clean runs between escapes are copied in bulk. *)
+let unescape s i j pct =
+  let buf = Buffer.create (j - i) in
+  let rec go start pct =
+    Buffer.add_substring buf s start (pct - start);
+    if pct + 2 >= j then Error "truncated escape"
+    else
+      let decoded =
+        match (s.[pct + 1], s.[pct + 2]) with
+        | '2', '5' -> Some '%'
+        | '3', 'd' -> Some '='
+        | '0', 'a' -> Some '\n'
+        | _ -> None
       in
-      go 0 first
+      match decoded with
+      | None -> Error ("unknown escape %" ^ String.sub s (pct + 1) 2)
+      | Some c ->
+          Buffer.add_char buf c;
+          let start = pct + 3 in
+          let pct = index_in s '%' start j in
+          if pct < j then go start pct
+          else begin
+            Buffer.add_substring buf s start (j - start);
+            Ok (Buffer.contents buf)
+          end
+  in
+  go i pct
 
 let encode r =
   String.concat "\n"
     (List.map (fun (k, v) -> escape k ^ "=" ^ escape v) r)
 
+(* Decode straight from ranges of the input: each key and value is
+   copied once, and unescaped only if its range holds a '%'. *)
 let decode s =
-  if s = "" then Ok []
-  else
-    let lines = String.split_on_char '\n' s in
-    let decode_line line =
-      match String.index_opt line '=' with
-      | None -> Error ("missing '=' in line: " ^ line)
-      | Some i -> (
-          let k = String.sub line 0 i in
-          let v = String.sub line (i + 1) (String.length line - i - 1) in
-          match (unescape k, unescape v) with
-          | Ok k, Ok v -> Ok (k, v)
-          | Error e, _ | _, Error e -> Error e)
-    in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest -> (
-          match decode_line line with
-          | Ok binding -> go (binding :: acc) rest
-          | Error _ as e -> e)
-    in
-    go [] lines
+  let n = String.length s in
+  let field i j =
+    let pct = index_in s '%' i j in
+    if pct = j then Ok (String.sub s i (j - i)) else unescape s i j pct
+  in
+  let rec go acc start =
+    let stop = index_in s '\n' start n in
+    let eq = index_in s '=' start stop in
+    if eq = stop then
+      Error ("missing '=' in line: " ^ String.sub s start (stop - start))
+    else
+      match (field start eq, field (eq + 1) stop) with
+      | Ok k, Ok v ->
+          let acc = (k, v) :: acc in
+          if stop = n then Ok (List.rev acc) else go acc (stop + 1)
+      | Error e, _ | _, Error e -> Error e
+  in
+  if n = 0 then Ok [] else go [] 0
 
 let pp fmt r =
   Format.fprintf fmt "{%a}"

@@ -867,3 +867,81 @@ let suite =
       Alcotest.test_case "self-recursive module contained" `Quick
         test_self_recursive_module_contained;
     ]
+
+(* ---- one request path ---- *)
+
+(* [Gateway.handler] is [submit] then [conclude]. The same scripted
+   requests — a login page, a friend's view allowed through the owner's
+   gate, a stranger's view refused by it, the home page — sent through
+   the handler on one platform and through submit, a run of the kernel
+   queue and conclude on a twin built from the same seed, must give the
+   same responses, audit log and metrics. *)
+let test_one_request_path () =
+  let build () =
+    let society =
+      W5_workload.Populate.build ~seed:5 ~users:4 ~friends_per_user:1
+        ~photos_per_user:0 ~blog_posts_per_user:0 ()
+    in
+    (society.W5_workload.Populate.platform, society.W5_workload.Populate.users)
+  in
+  let scheduled platform request =
+    let pending = Gateway.submit platform request in
+    W5_os.Kernel.run (Platform.kernel platform);
+    Gateway.conclude platform pending
+  in
+  let script (platform, users) serve =
+    let owner = List.hd users in
+    let friends =
+      match
+        Platform.read_user_record platform
+          (Platform.account_exn platform owner)
+          ~file:"friends"
+      with
+      | Ok r -> W5_store.Record.get_list r "friends"
+      | Error e -> Alcotest.fail (W5_os.Os_error.to_string e)
+    in
+    let stranger =
+      match
+        List.find_opt (fun u -> u <> owner && not (List.mem u friends)) users
+      with
+      | Some u -> u
+      | None -> Alcotest.fail "seed 5 must leave the owner a stranger"
+    in
+    let client user =
+      let c = Client.make ~name:user serve in
+      let r =
+        Client.post c "/login" ~form:[ ("user", user); ("pass", user ^ "-pw") ]
+      in
+      (c, r)
+    in
+    let view c = Client.get c "/app/core/social" ~params:[ ("user", owner) ] in
+    let f, login = client (List.hd friends) in
+    let s, _ = client stranger in
+    List.map
+      (fun (r : Response.t) ->
+        ( Response.status_code r.Response.status,
+          Test_noninterference.strip_tag_ids r.Response.body ))
+      [ login; view f; view s; Client.get s "/" ]
+  in
+  let ((a, _) as twin_a) = build () and ((b, _) as twin_b) = build () in
+  let via_handler = script twin_a (Gateway.handler a) in
+  let via_submit = script twin_b (scheduled b) in
+  check (Alcotest.list int_c) "login, allowed, refused, page"
+    [ 200; 200; 403; 200 ] (List.map fst via_handler);
+  check
+    (Alcotest.list (Alcotest.pair int_c string_c))
+    "same responses" via_handler via_submit;
+  check string_c "same audit log and store"
+    (W5_workload.Soak.fingerprint a)
+    (W5_workload.Soak.fingerprint b);
+  let metrics p =
+    W5_obs.Exposition.prometheus (W5_os.Kernel.metrics (Platform.kernel p))
+  in
+  check string_c "same metrics" (metrics a) (metrics b)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "handler is submit then conclude" `Quick
+        test_one_request_path;
+    ]

@@ -288,20 +288,42 @@ let test_perf_quantiles () =
   check string_c "render Le" "8" (Perf.render_estimate (Perf.Le 8));
   check string_c "render Gt" ">1024" (Perf.render_estimate (Perf.Gt 1024))
 
-let test_perf_time () =
-  let r = Metrics.create () in
-  let m = Perf.latency r "t_ticks" in
-  let tick = ref 0 in
-  let clock () = !tick in
-  let v = Perf.time m ~clock (fun () -> tick := !tick + 5; "done") in
-  check string_c "body value returned" "done" v;
-  check int_c "delta observed" 5 (Metrics.histogram_sum m);
-  (* the observation lands even when the body raises *)
-  (try
-     Perf.time m ~clock (fun () -> tick := !tick + 3; failwith "boom")
-   with Failure _ -> ());
-  check int_c "raising body still observed" 8 (Metrics.histogram_sum m);
-  check int_c "two observations" 2 (Metrics.histogram_count m)
+(* A syscall killed mid-body still lands its tick observation, and the
+   kill's audit entries follow the process's own. *)
+let test_syscall_ticks_on_quota_kill () =
+  let open W5_os in
+  let kernel = Kernel.create () in
+  let proc =
+    match
+      Kernel.spawn kernel ~name:"bloat"
+        ~owner:(Principal.make Principal.Developer "dev")
+        ~labels:Flow.bottom ~caps:Capability.Set.empty
+        ~limits:(Resource.make_limits ~memory:16 ())
+        (fun ctx ->
+          ignore (Syscall.debug_note ctx "before");
+          ignore (Syscall.respond ctx (String.make 64 'x')))
+    with
+    | Ok proc -> proc
+    | Error e -> Alcotest.fail (Os_error.to_string e)
+  in
+  Kernel.run kernel;
+  (match proc.Proc.state with
+  | Proc.Killed _ -> ()
+  | _ -> Alcotest.fail "respond past the memory quota must kill");
+  let ticks = (Kernel.meters kernel).Kernel.syscall_ticks in
+  let labels = [ ("op", "proc.respond") ] in
+  check int_c "one observation" 1 (Metrics.histogram_count ticks ~labels);
+  check int_c "of one tick" 1 (Metrics.histogram_sum ticks ~labels);
+  let kinds =
+    List.filter_map
+      (fun (e : Audit.entry) ->
+        if e.Audit.pid = proc.Proc.pid then Some (Audit.event_kind e.Audit.event)
+        else None)
+      (Audit.entries (Kernel.audit kernel))
+  in
+  check (Alcotest.list string_c) "kill follows the process's own events"
+    [ "app_note"; "quota_hit"; "killed" ]
+    kinds
 
 let test_trace_tree_golden () =
   let tr = Tracer.create ~enabled:true () in
@@ -514,7 +536,8 @@ let suite =
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "summaries golden" `Quick test_summaries_golden;
     Alcotest.test_case "perf quantiles" `Quick test_perf_quantiles;
-    Alcotest.test_case "perf time bracket" `Quick test_perf_time;
+    Alcotest.test_case "syscall ticks on a quota kill" `Quick
+      test_syscall_ticks_on_quota_kill;
     Alcotest.test_case "trace tree golden" `Quick test_trace_tree_golden;
     Alcotest.test_case "no user bytes in telemetry" `Quick
       test_no_user_bytes_in_telemetry;

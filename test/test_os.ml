@@ -1263,74 +1263,10 @@ let test_fs_more_edges () =
 let suite =
   suite @ [ Alcotest.test_case "fs more edges" `Quick test_fs_more_edges ]
 
-(* ---- audit batching and cache metrics ---- *)
-
-let test_audit_record_batch () =
-  (* a batch lands every entry in order with sequence numbers and
-     ticks as if recorded one by one; truncation (amortized, so it may
-     fire at different points than per-record appends) still keeps at
-     least the newest [cap] entries *)
-  let cap = 4 in
-  let batched = Audit.create ~capacity:cap () in
-  let events =
-    List.init 11 (fun i -> (i, i * 10, Audit.App_note (Printf.sprintf "e%d" i)))
-  in
-  Audit.record_batch batched events;
-  let kept = Audit.entries batched in
-  check bool_c "keeps at least cap entries" true (List.length kept >= cap);
-  check bool_c "seq keeps counting across eviction" true
-    (Audit.evicted batched > 0);
-  let expected_suffix =
-    (* the newest [length] of the 11 events, oldest first *)
-    let drop = 11 - List.length kept in
-    List.filteri (fun i _ -> i >= drop) events
-  in
-  check bool_c "retained suffix is the newest entries, in order" true
-    (List.for_all2
-       (fun (tick, pid, _) (e : Audit.entry) ->
-         e.Audit.tick = tick && e.Audit.pid = pid
-         && e.Audit.seq = tick + 1 (* seq assigned 1..11 in batch order *))
-       expected_suffix kept)
-
-let test_with_audit_batch_ordering () =
-  let kernel = Kernel.create () in
-  let note s = Audit.App_note s in
-  Kernel.record kernel ~pid:0 (note "before");
-  Kernel.with_audit_batch kernel (fun () ->
-      Kernel.record kernel ~pid:0 (note "in-1");
-      Kernel.advance_clock kernel;
-      Kernel.with_audit_batch kernel (fun () ->
-          Kernel.record kernel ~pid:0 (note "in-2"));
-      (* nested scope closed, outer still open: nothing flushed yet *)
-      check int_c "buffered until outermost exit" 1
-        (Audit.length (Kernel.audit kernel));
-      Kernel.record kernel ~pid:0 (note "in-3"));
-  Kernel.record kernel ~pid:0 (note "after");
-  let notes =
-    List.filter_map
-      (fun (e : Audit.entry) ->
-        match e.Audit.event with
-        | Audit.App_note s -> Some (s, e.Audit.tick)
-        | _ -> None)
-      (Audit.entries (Kernel.audit kernel))
-  in
-  check (Alcotest.list (Alcotest.pair string_c int_c)) "order and ticks kept"
-    [ ("before", 0); ("in-1", 0); ("in-2", 1); ("in-3", 1); ("after", 1) ]
-    notes
-
-let test_with_audit_batch_flushes_on_raise () =
-  let kernel = Kernel.create () in
-  (try
-     Kernel.with_audit_batch kernel (fun () ->
-         Kernel.record kernel ~pid:7 (Audit.App_note "doomed");
-         raise Exit)
-   with Exit -> ());
-  match Audit.entries (Kernel.audit kernel) with
-  | [ e ] -> check int_c "entry flushed despite raise" 7 e.Audit.pid
-  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+(* ---- syscall audit ---- *)
 
 let test_syscall_audit_batched () =
-  (* a denied read still lands its audit events once dispatch exits *)
+  (* a denied read lands its audit events by the time dispatch exits *)
   let kernel = Kernel.create () in
   let t = Tag.fresh ~name:"batch.secret" Tag.Secrecy in
   let labels = Flow.make ~secrecy:(Label.singleton t) () in
@@ -1350,11 +1286,6 @@ let test_syscall_audit_batched () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "audit record_batch" `Quick test_audit_record_batch;
-      Alcotest.test_case "audit batch ordering" `Quick
-        test_with_audit_batch_ordering;
-      Alcotest.test_case "audit batch flushes on raise" `Quick
-        test_with_audit_batch_flushes_on_raise;
       Alcotest.test_case "syscall audit batched" `Quick
         test_syscall_audit_batched;
     ]

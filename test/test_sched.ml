@@ -1,8 +1,8 @@
 (* The deterministic interleaved scheduler, pinned down.
 
    Units: preemption at quantum expiry, quota kills mid-slice (with
-   the audit batch flushed), gate atomicity under preemption, and the
-   admission bookkeeping. Properties (300+ cases each way): the same
+   the victim's audit trail intact), gate atomicity under preemption,
+   and the admission bookkeeping. Properties (300+ cases each way): the same
    seed over a randomized process mix yields byte-identical audit logs
    and final filesystem state across two runs, and seeded interleaved
    execution converges to exactly the sequential final state when the
@@ -182,7 +182,7 @@ let test_quota_kill_mid_slice () =
   | _ -> Alcotest.fail "hog not killed");
   check bool_c "finish tick stamped on kill" true
     (hog.Proc.finished_tick <> None);
-  (* the killed process's audit batch flushed: its pre-kill write is
+  (* the killed process's audit trail is whole: its pre-kill write is
      in the log, and so are the Quota_hit and Killed records *)
   let events_for pid =
     List.filter_map
@@ -192,7 +192,7 @@ let test_quota_kill_mid_slice () =
       (Audit.entries (Kernel.audit kernel))
   in
   let hog_events = events_for hog.Proc.pid in
-  check bool_c "pre-kill events flushed" true
+  check bool_c "pre-kill events logged" true
     (List.mem "object_labeled" hog_events);
   check bool_c "quota hit recorded" true (List.mem "quota_hit" hog_events);
   check bool_c "kill recorded" true (List.mem "killed" hog_events);
@@ -264,6 +264,35 @@ let test_gate_atomic_under_preemption () =
             (List.length seqs)
             (last - first + 1))
     gate_pids
+
+(* A gate call sets the preemption hook aside only while its child
+   runs: the child's syscalls never reach the hook, and the caller's
+   next syscall is a preemption point again. *)
+let test_gate_call_restores_preempt_hook () =
+  let kernel = Kernel.create () in
+  Kernel.register_gate kernel ~name:"probe"
+    ~owner:(Kernel.kernel_principal kernel)
+    ~caps:Capability.Set.empty
+    ~entry:(fun ctx arg -> ignore (Syscall.respond ctx arg));
+  (match
+     Kernel.spawn kernel ~name:"caller"
+       ~owner:(Principal.make Principal.Developer "dev")
+       ~labels:Flow.bottom ~caps:Capability.Set.empty
+       ~limits:Resource.default_app_limits
+       (fun ctx ->
+         ignore (Syscall.invoke_gate ctx "probe" ~arg:"x");
+         ignore (Syscall.readdir ctx "/"))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "spawn caller: %s" (Os_error.to_string e));
+  let fired = ref [] in
+  Kernel.set_preempt_hook kernel
+    (Some (fun proc -> fired := proc.Proc.proc_name :: !fired));
+  Kernel.run kernel;
+  check
+    (Alcotest.list Alcotest.string)
+    "gate.invoke and fs.readdir entries, none in the child"
+    [ "caller"; "caller" ] (List.rev !fired)
 
 let test_admission_skips_executed_bodies () =
   (* Platform.with_ctx-style: a body spawned and run synchronously
@@ -361,10 +390,12 @@ let suite =
   [
     Alcotest.test_case "quantum preemption interleaves processes" `Quick
       test_preemption_interleaves;
-    Alcotest.test_case "quota kill mid-slice flushes the audit batch" `Quick
+    Alcotest.test_case "quota kill mid-slice is audited" `Quick
       test_quota_kill_mid_slice;
     Alcotest.test_case "gate invocations stay atomic under preemption" `Quick
       test_gate_atomic_under_preemption;
+    Alcotest.test_case "gate call restores the preempt hook" `Quick
+      test_gate_call_restores_preempt_hook;
     Alcotest.test_case "admission skips already-executed bodies" `Quick
       test_admission_skips_executed_bodies;
     Alcotest.test_case "process_count tracks the table" `Quick

@@ -395,8 +395,8 @@ let test_scheduled_soak_mid_run_faults ~seed () =
 
 (* quota kill mid-request: a CPU hog admitted alongside normal
    traffic dies to its quota inside the drain. The gateway answers
-   429, the kill and the quota hit are audited (the killed process's
-   audit batch flushed), neighbours are unharmed, and the SLO ledger
+   429, the kill and the quota hit are audited after the killed
+   process's own events, neighbours are unharmed, and the SLO ledger
    treats the 429 as served — not as an availability breach. *)
 let test_scheduled_quota_kill ~seed () =
   let society =

@@ -151,11 +151,6 @@ let import_bundle ?faults platform (account : Account.t) bundle =
             match result with
             | Error _ as e -> e
             | Ok () ->
-                (* import writes bypass Obj_store; invalidate any
-                   store index over the written path *)
-                W5_store.Index.note_external_write
-                  (Platform.kernel platform)
-                  ~path:(Platform.user_file account.Account.user rel_path);
                 incr written;
                 Ok ()))
   in

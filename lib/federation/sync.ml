@@ -398,9 +398,7 @@ let recover_side ~platform ~(account : Account.t) ~peer =
                  if not already then begin
                    ignore (ensure_parent_dir platform account ~file);
                    ignore
-                     (Platform.write_user_record platform account ~file payload);
-                   Index.note_external_write (Platform.kernel platform)
-                     ~path:(Platform.user_file account.Account.user file)
+                     (Platform.write_user_record platform account ~file payload)
                  end
              | Some (Error _) | None -> ());
           Kernel.record (Platform.kernel platform) ~pid:0
@@ -461,14 +459,6 @@ let sync_file link ~counters ~budget ~file =
     Hashtbl.replace link.seen file (current_clock link ~file);
     link.seen_dirty <- true
   in
-  (* Sync writes bypass Obj_store, so any store index over the target
-     path must be told (a no-op for the usual /users/... targets; the
-     fs version stamp would catch it regardless). *)
-  let invalidate_index platform (account : Account.t) =
-    Index.note_external_write
-      (Platform.kernel platform)
-      ~path:(Platform.user_file account.Account.user file)
-  in
   (* Provider name of a side, for audit attribution of sync writes. *)
   let name_of platform =
     if platform == a.platform then a.provider_name else b.provider_name
@@ -503,17 +493,12 @@ let sync_file link ~counters ~budget ~file =
       (fun ~dup ~crash ->
         traced link dst_platform ~op:"apply" ~file @@ fun () ->
         let do_write () =
-          match ensure_parent_dir dst_platform dst_account ~file with
-          | Error e -> Error (Os_error.to_string e)
-          | Ok () -> (
-              match
+          Result.map_error Os_error.to_string
+            (match ensure_parent_dir dst_platform dst_account ~file with
+            | Error _ as e -> e
+            | Ok () ->
                 Platform.write_user_record dst_platform dst_account ~file
-                  record
-              with
-              | Error e -> Error (Os_error.to_string e)
-              | Ok () ->
-                  invalidate_index dst_platform dst_account;
-                  Ok ())
+                  record)
         in
         match crash with
         | `Before ->
@@ -607,7 +592,6 @@ let sync_file link ~counters ~budget ~file =
         | Error _ as e -> e
         | Ok () ->
             if dup then ignore (unlink ());
-            invalidate_index platform account;
             remember ();
             Ok ())
   in

@@ -25,7 +25,8 @@ and t = {
   k_audit : Audit.log;
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
-  pending : (Proc.t * body) Queue.t;
+  pending : Proc.t Queue.t;
+  (* the body of each queued process, until it starts *)
   bodies : (int, body) Hashtbl.t;
   gates : (string, gate) Hashtbl.t;
   mutable k_tick : int;
@@ -168,48 +169,54 @@ let set_preempt_hook k hook = k.k_preempt <- hook
 let preempt_point k proc =
   match k.k_preempt with Some hook -> hook proc | None -> ()
 
-let fresh_pid k =
+(* A fresh pid and its record in the process table. *)
+let enter k ~name ~owner ~labels ~caps ~limits =
   k.next_pid <- k.next_pid + 1;
-  k.next_pid
+  let proc = Proc.make ~pid:k.next_pid ~name ~owner ~labels ~caps ~limits in
+  Hashtbl.replace k.procs k.next_pid proc;
+  proc
 
-let spawn k ?parent ~name ~owner ~labels ~caps ~limits body =
+(* Enter a new process in the table and book its creation; the audit
+   log names [parent] (or the platform, pid 0) as the spawner. *)
+let create_proc k ?parent ~name ~owner ~labels ~caps ~limits () =
   let checked =
     match parent with
     | None -> Ok ()
-    | Some p when not k.k_enforcing ->
-        Result.map (fun () -> ())
-          (Result.map_error
-             (fun kind -> Os_error.Quota_exceeded kind)
-             (Resource.charge p.Proc.usage p.Proc.limits Resource.Processes 1))
     | Some p -> (
-        match Resource.charge p.Proc.usage p.Proc.limits Resource.Processes 1 with
+        match
+          Resource.charge p.Proc.usage p.Proc.limits Resource.Processes 1
+        with
         | Error kind -> Error (Os_error.Quota_exceeded kind)
+        | Ok () when not k.k_enforcing -> Ok ()
+        | Ok () when not (Capability.Set.subset caps p.Proc.caps) ->
+            Error
+              (Os_error.Permission "spawn: child capabilities exceed parent's")
         | Ok () ->
-            if not (Capability.Set.subset caps p.Proc.caps) then
-              Error
-                (Os_error.Permission
-                   "spawn: child capabilities exceed parent's")
-            else
-              Result.map_error
-                (fun d -> Os_error.Denied d)
-                (Flow.check_labels_change ~caps:p.Proc.caps
-                   ~old_labels:p.Proc.labels ~new_labels:labels))
+            Result.map_error
+              (fun d -> Os_error.Denied d)
+              (Flow.check_labels_change ~caps:p.Proc.caps
+                 ~old_labels:p.Proc.labels ~new_labels:labels))
   in
   match checked with
   | Error _ as e -> e
   | Ok () ->
-      let pid = fresh_pid k in
-      let proc = Proc.make ~pid ~name ~owner ~labels ~caps ~limits in
-      Hashtbl.replace k.procs pid proc;
-      Hashtbl.replace k.bodies pid body;
-      Queue.add (proc, body) k.pending;
+      let proc = enter k ~name ~owner ~labels ~caps ~limits in
       Metrics.inc k.k_meters.spawns;
       let actor = match parent with Some p -> p.Proc.pid | None -> 0 in
-      record k ~pid:actor (Audit.Spawned { child = pid; name; labels });
+      record k ~pid:actor
+        (Audit.Spawned { child = proc.Proc.pid; name; labels });
+      Ok proc
+
+let spawn k ?parent ~name ~owner ~labels ~caps ~limits body =
+  match create_proc k ?parent ~name ~owner ~labels ~caps ~limits () with
+  | Error _ as e -> e
+  | Ok proc ->
+      Hashtbl.replace k.bodies proc.Proc.pid body;
+      Queue.add proc k.pending;
       Ok proc
 
 (* Completion and failure bookkeeping, shared between the synchronous
-   [run_proc] below and the interleaved scheduler (Sched): both must
+   [bracket] below and the interleaved scheduler (Sched): both must
    stamp the finish tick and convert quota kills / stray exceptions
    into audited [Killed] states. *)
 let finish_proc k proc =
@@ -217,47 +224,77 @@ let finish_proc k proc =
   proc.Proc.finished_tick <- Some k.k_tick
 
 let fail_proc k proc exn =
-  (match exn with
+  proc.Proc.finished_tick <- Some k.k_tick;
+  match exn with
   | Quota_kill kind ->
-      Proc.kill proc ~reason:("quota: " ^ Resource.kind_to_string kind);
+      let reason = "quota: " ^ Resource.kind_to_string kind in
+      Proc.kill proc ~reason;
       Metrics.inc k.k_meters.quota_kills
         ~labels:[ ("kind", Resource.kind_to_string kind) ];
       record k ~pid:proc.Proc.pid (Audit.Quota_hit kind);
-      record k ~pid:proc.Proc.pid
-        (Audit.Killed { reason = "quota: " ^ Resource.kind_to_string kind })
+      record k ~pid:proc.Proc.pid (Audit.Killed { reason });
+      Os_error.Quota_exceeded kind
   | exn ->
       let reason = "uncaught: " ^ Printexc.to_string exn in
       Proc.kill proc ~reason;
-      record k ~pid:proc.Proc.pid (Audit.Killed { reason }));
-  proc.Proc.finished_tick <- Some k.k_tick
+      record k ~pid:proc.Proc.pid (Audit.Killed { reason });
+      Os_error.Invalid reason
+
+(* The one synchronous lifecycle: a process starts, its body runs to
+   the end, and the kernel books how it ended. Never raises. *)
+let bracket k proc f =
+  proc.Proc.state <- Proc.Running;
+  advance_clock k;
+  match f { kernel = k; proc } with
+  | v ->
+      finish_proc k proc;
+      Ok v
+  | exception exn -> Error (fail_proc k proc exn)
+
+(* A queued body leaves the table when its process starts, or when the
+   queue or [reap] lets go of a process that never will. *)
+let take_body k proc =
+  let body = Hashtbl.find_opt k.bodies proc.Proc.pid in
+  Hashtbl.remove k.bodies proc.Proc.pid;
+  body
 
 let run_proc k proc =
-  match proc.Proc.state with
-  | Proc.Running | Proc.Exited | Proc.Killed _ -> ()
-  | Proc.Runnable -> (
-      match Hashtbl.find_opt k.bodies proc.Proc.pid with
-      | None -> finish_proc k proc
-      | Some body -> (
-          proc.Proc.state <- Proc.Running;
-          advance_clock k;
-          try
-            body { kernel = k; proc };
-            finish_proc k proc
-          with exn -> fail_proc k proc exn))
+  match (proc.Proc.state, take_body k proc) with
+  | Proc.Runnable, Some body -> ignore (bracket k proc body)
+  | _ -> ()
 
-let run k =
-  let rec drain () =
-    match Queue.take_opt k.pending with
-    | None -> ()
-    | Some (proc, _) ->
-        run_proc k proc;
-        drain ()
-  in
-  drain ()
+let exec k ~name ~owner ~labels ~caps ~limits f =
+  match create_proc k ~name ~owner ~labels ~caps ~limits () with
+  | Error e -> Error e
+  | Ok proc -> Result.join (bracket k proc f)
+
+let capture_response ctx f =
+  let proc = ctx.proc in
+  let saved = proc.Proc.response in
+  proc.Proc.response <- None;
+  Fun.protect
+    ~finally:(fun () -> proc.Proc.response <- saved)
+    (fun () ->
+      f ();
+      proc.Proc.response)
 
 (* Admission interface for the interleaved scheduler: pull spawned
-   processes off the kernel run queue without executing them. *)
-let take_pending k = Queue.take_opt k.pending
+   processes off the kernel run queue without executing them. A process
+   that already started (or was killed before it could) is dropped. *)
+let rec take_pending k =
+  match Queue.take_opt k.pending with
+  | None -> None
+  | Some proc -> (
+      match (proc.Proc.state, take_body k proc) with
+      | Proc.Runnable, Some body -> Some (proc, body)
+      | _ -> take_pending k)
+
+let rec run k =
+  match take_pending k with
+  | None -> ()
+  | Some (proc, body) ->
+      ignore (bracket k proc body);
+      run k
 
 let pending_count k = Queue.length k.pending
 
@@ -278,12 +315,11 @@ let reap k =
       Hashtbl.remove k.procs pid;
       Hashtbl.remove k.bodies pid)
     dead;
-  (* drop dead processes from the run queue too, or their records
-     (and closures) stay reachable forever *)
+  (* drop dead processes from the run queue too, or their records stay
+     reachable forever *)
   let live = Queue.create () in
   Queue.iter
-    (fun ((proc, _) as entry) ->
-      if Proc.is_alive proc then Queue.add entry live)
+    (fun proc -> if Proc.is_alive proc then Queue.add proc live)
     k.pending;
   Queue.clear k.pending;
   Queue.transfer live k.pending;
@@ -319,28 +355,24 @@ let invoke_gate k ~caller ~name ~arg =
       with
       | Error kind -> Error (Os_error.Quota_exceeded kind)
       | Ok () ->
-          let pid = fresh_pid k in
           let proc =
-            Proc.make ~pid
-              ~name:("gate:" ^ name)
-              ~owner:gate.g_owner ~labels:caller.Proc.labels ~caps:gate.g_caps
+            enter k ~name:("gate:" ^ name) ~owner:gate.g_owner
+              ~labels:caller.Proc.labels ~caps:gate.g_caps
               ~limits:Resource.default_app_limits
           in
-          Hashtbl.replace k.procs pid proc;
-          let body ctx = gate.g_entry ctx arg in
-          Hashtbl.replace k.bodies pid body;
           Metrics.inc k.k_meters.gate_invocations ~labels:[ ("gate", name) ];
           record k ~pid:caller.Proc.pid
-            (Audit.Gate_invoked { gate = name; child = pid });
+            (Audit.Gate_invoked { gate = name; child = proc.Proc.pid });
           (* Privilege transfer is atomic: with the preemption hook set
-             aside no scheduler can suspend the child, and [run_proc]
-             never raises, so the hook always comes back. *)
+             aside no scheduler can suspend the child, and [bracket]
+             never raises, so the hook always comes back. The body is
+             never queued, so nothing keeps [arg] once the child ends. *)
           let hook = k.k_preempt in
           let traced = Tracer.enabled k.k_tracer in
           k.k_preempt <- None;
           if traced then
             Tracer.start_span k.k_tracer ~tick:k.k_tick proc.Proc.proc_name;
-          run_proc k proc;
+          ignore (bracket k proc (fun ctx -> gate.g_entry ctx arg));
           if traced then Tracer.end_span k.k_tracer ~tick:k.k_tick;
           k.k_preempt <- hook;
           Ok proc)

@@ -110,24 +110,63 @@ val tick : t -> int
 val advance_clock : t -> unit
 val kernel_principal : t -> Principal.t
 
+(** {1 Process lifecycle}
+
+    A process starts in one of four ways — {!spawn} (queued, run later
+    by {!run_proc}, {!run} or the scheduler), {!exec} (a platform-side
+    body run now), {!invoke_gate} (a gate child run now) or
+    {!create_proc} alone (a {!Service}, driven message by message) —
+    and ends in one: the kernel books it with {!finish_proc} or
+    {!fail_proc}. Code outside the kernel reads process state but never
+    writes it. *)
+
+val create_proc :
+  t -> ?parent:Proc.t -> name:string -> owner:Principal.t ->
+  labels:Flow.labels -> caps:Capability.Set.t -> limits:Resource.limits ->
+  unit -> (Proc.t, Os_error.t) result
+(** Enter a [Runnable] process in the table, without a body and without
+    queueing it, and book its creation ([w5_proc_spawns_total] and a
+    [Spawned] audit entry naming [parent], or pid 0). With [parent] set
+    (the normal case for application code) the kernel charges the
+    parent one process and, when enforcing, checks that the child's
+    capabilities are a subset of the parent's and that the child's
+    labels are reachable from the parent's by a safe label change;
+    parentless creation is reserved for the platform itself and cannot
+    fail. *)
+
 val spawn :
   t -> ?parent:Proc.t -> name:string -> owner:Principal.t ->
   labels:Flow.labels -> caps:Capability.Set.t -> limits:Resource.limits ->
   body -> (Proc.t, Os_error.t) result
-(** Create a process and queue it. With [parent] set (the normal case
-    for application code) the kernel checks that the child's
-    capabilities are a subset of the parent's and that the child's
-    labels are reachable from the parent's by a safe label change;
-    parentless spawns are reserved for the platform itself. *)
+(** {!create_proc}, then queue the process with its body. The kernel
+    holds the body until the process starts. *)
 
 val run_proc : t -> Proc.t -> unit
-(** Execute the process body to completion now (if still runnable).
-    Quota kills and uncaught application exceptions are converted to
-    [Killed] states and audited; they do not escape. *)
+(** Start a queued process now and run its body to completion, if it
+    has not started yet; otherwise (already started, dead, or a
+    bodyless service) do nothing. The body leaves the kernel's table as
+    the process starts. Quota kills and uncaught application exceptions
+    are booked by {!fail_proc}; they do not escape. *)
 
 val run : t -> unit
 (** Drain the run queue, executing queued processes in FIFO order
     (processes spawned during the drain are executed too). *)
+
+val exec :
+  t -> name:string -> owner:Principal.t -> labels:Flow.labels ->
+  caps:Capability.Set.t -> limits:Resource.limits ->
+  (ctx -> ('a, Os_error.t) result) -> ('a, Os_error.t) result
+(** Run a platform-side body now, in a fresh parentless process that is
+    never queued, and return the body's value. The process ends like
+    any other: a quota kill returns [Error (Quota_exceeded kind)] and
+    any other exception [Error (Invalid "uncaught: …")], both booked by
+    {!fail_proc}. *)
+
+val capture_response : ctx -> (unit -> unit) -> (string * Flow.labels) option
+(** Run [f] in the calling process with its response set aside: return
+    what [f] responded, if anything, and put the earlier response back
+    (also when [f] raises). How a module run inline hands its answer to
+    the app that called it. *)
 
 (** {1 Scheduler interface}
 
@@ -137,13 +176,15 @@ val run : t -> unit
     shared completion/failure bookkeeping. *)
 
 val take_pending : t -> (Proc.t * body) option
-(** Pull the next spawned-but-not-yet-run process (and its body) off
-    the kernel run queue without executing it. Used by the scheduler
-    for admission; mutually exclusive with {!run} over the same
-    processes. *)
+(** Pull the next queued process that has not started, with its body,
+    off the run queue without executing it; queued processes that
+    already started or died are dropped on the way, and so are their
+    bodies. Used by the scheduler for admission; mutually exclusive
+    with {!run} over the same processes. *)
 
 val pending_count : t -> int
-(** Processes spawned but not yet admitted or run. *)
+(** Processes on the run queue: spawned, and not yet admitted, run or
+    reaped. *)
 
 val set_preempt_hook : t -> (Proc.t -> unit) option -> unit
 (** Install (or clear) the scheduler's preemption callback. While set,
@@ -160,20 +201,24 @@ val preempt_point : t -> Proc.t -> unit
 val finish_proc : t -> Proc.t -> unit
 (** Mark a process [Exited] and stamp {!Proc.t.finished_tick}. *)
 
-val fail_proc : t -> Proc.t -> exn -> unit
+val fail_proc : t -> Proc.t -> exn -> Os_error.t
 (** Convert a process-body exception into an audited kill:
     {!Quota_kill} becomes a quota kill (metric + [Quota_hit] +
     [Killed] records), anything else an [uncaught: ...] kill. Stamps
-    the finish tick. Shared by {!run_proc} and the scheduler. *)
+    the finish tick and returns the error that names the end:
+    [Quota_exceeded kind] or [Invalid "uncaught: …"]. Shared by every
+    way a process runs: {!run_proc}, {!exec}, {!invoke_gate}'s child,
+    the scheduler and {!Service}. *)
 
 val find_proc : t -> int -> Proc.t option
 val processes : t -> Proc.t list
 
 val reap : t -> int
-(** Drop exited and killed processes (and their bodies) from the
-    process table; returns how many were collected. A long-running
-    provider calls this periodically — the gateway does so
-    automatically once the table exceeds a watermark. *)
+(** Drop exited and killed processes from the process table and the run
+    queue, with the body of any that died before it started; returns
+    how many were collected. A long-running provider calls this
+    periodically — the gateway does so automatically once the table
+    exceeds a watermark. *)
 
 val live_process_count : t -> int
 
@@ -201,9 +246,10 @@ val invoke_gate :
 (** Spawn a child carrying the {e caller's} labels but the {e gate's}
     capabilities, run it synchronously on [arg], and return it (its
     answer, if any, is in [child.Proc.response]). The caller is
-    charged one process. The child runs with the preemption hook set
-    aside, so no scheduler can suspend it: privilege transfer is
-    atomic. *)
+    charged one process. The child is never queued, so the kernel
+    keeps nothing of [arg] once it ends. It runs with the preemption
+    hook set aside, so no scheduler can suspend it: privilege transfer
+    is atomic. *)
 
 val record : t -> pid:int -> Audit.event -> unit
 (** Append to the audit log now, at the current tick, and count the

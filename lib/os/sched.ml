@@ -187,17 +187,16 @@ let handler =
     }
 
 (* Pull every process spawned since the last admission point off the
-   kernel run queue. Bodies that were already executed synchronously
-   (e.g. Platform.with_ctx runs its context body immediately) arrive
-   here in a non-[Runnable] state and are skipped. *)
+   kernel run queue. [Kernel.take_pending] hands over only processes
+   that have not started, so a body already run synchronously (a
+   [Gateway.conclude] without a drain runs its process through
+   [Kernel.run_proc]) is never admitted twice. *)
 let admit t =
   let rec loop () =
     match Kernel.take_pending t.sk with
     | None -> ()
     | Some (proc, body) ->
-        (match proc.Proc.state with
-        | Proc.Runnable -> push t { s_proc = proc; s_resume = Start body }
-        | Proc.Running | Proc.Exited | Proc.Killed _ -> ());
+        push t { s_proc = proc; s_resume = Start body };
         loop ()
   in
   loop ()
@@ -251,7 +250,7 @@ let run_slice t slot =
               "sched.slice" run
           else run ()
         with exn ->
-          Kernel.fail_proc k proc exn;
+          ignore (Kernel.fail_proc k proc exn);
           Completed
       in
       t.current <- -1;

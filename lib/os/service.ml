@@ -12,12 +12,11 @@ type t = {
 let create kernel ~name ~owner ?(labels = Flow.bottom)
     ?(caps = Capability.Set.empty) ?(limits = Resource.default_app_limits)
     handler =
-  (* The body never runs: the service is driven by deliver_pending and
-     must stay Runnable (alive) so that senders can reach its mailbox. *)
-  match Kernel.spawn kernel ~name ~owner ~labels ~caps ~limits (fun _ -> ()) with
-  | Error _ as e -> e
-  | Ok service_proc ->
-      Ok { kernel; service_proc; handler; total_handled = 0 }
+  (* No body and never queued: the process stays Runnable (alive) so
+     senders can reach its mailbox, and runs only in deliver_pending. *)
+  Result.map
+    (fun service_proc -> { kernel; service_proc; handler; total_handled = 0 })
+    (Kernel.create_proc kernel ~name ~owner ~labels ~caps ~limits ())
 
 let pid t = t.service_proc.Proc.pid
 let proc t = t.service_proc
@@ -47,15 +46,7 @@ let deliver_pending t =
           | Error _ as e -> Result.map (fun _ -> ()) e
         in
         drain ()
-      with
-      | Kernel.Quota_kill kind ->
-          Proc.kill t.service_proc
-            ~reason:("quota: " ^ Resource.kind_to_string kind);
-          Error (Os_error.Quota_exceeded kind)
-      | exn ->
-          let reason = "uncaught: " ^ Printexc.to_string exn in
-          Proc.kill t.service_proc ~reason;
-          Error (Os_error.Invalid reason)
+      with exn -> Error (Kernel.fail_proc t.kernel t.service_proc exn)
     in
     Result.map (fun () -> !count) outcome
   end

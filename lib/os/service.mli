@@ -23,7 +23,9 @@ val create :
   Kernel.t -> name:string -> owner:Principal.t -> ?labels:Flow.labels ->
   ?caps:Capability.Set.t -> ?limits:Resource.limits -> handler ->
   (t, Os_error.t) result
-(** The backing process stays alive until {!shutdown}; the default
+(** The backing process is in the kernel's table but never on its run
+    queue ({!Kernel.create_proc}), so no drain runs or ends it: it
+    stays alive until {!shutdown} or a failed delivery. The default
     limits are the platform's app limits. *)
 
 val pid : t -> int
@@ -37,7 +39,8 @@ val deliver_pending : t -> (int, Os_error.t) result
 (** Run the handler on every queued message (messages the service may
     not absorb are dropped by the ordinary [recv] rules). Returns how
     many messages were handled. A handler exception or quota kill
-    stops delivery and kills the service. *)
+    stops delivery and kills the service through {!Kernel.fail_proc},
+    which audits and counts it like any process's end. *)
 
 val handled : t -> int
 (** Total messages handled over the service's lifetime. *)

@@ -36,24 +36,18 @@ let rec make_env platform ~viewer ~request ~self_id =
     | Some (_, v) -> (
         (* Inline call: same process, same labels. Metered, so a
            module that recurses into itself dies by CPU quota instead
-           of by stack. The callee's response is captured and the
-           caller's restored. *)
+           of by stack. The kernel hands back the callee's response
+           and keeps the caller's. *)
         (match Syscall.consume ctx ~cpu:5 with Ok () -> () | Error _ -> ());
-        let saved = ctx.Kernel.proc.Proc.response in
-        ctx.Kernel.proc.Proc.response <- None;
         let sub_env =
           make_env platform ~viewer ~request:sub_request ~self_id:module_id
         in
-        let outcome =
-          try
-            v.App_registry.handler ctx sub_env;
-            match ctx.Kernel.proc.Proc.response with
-            | Some (body, _) -> Ok body
-            | None -> Error (module_id ^ ": no response")
-          with Kernel.Quota_kill _ as q -> raise q
-        in
-        ctx.Kernel.proc.Proc.response <- saved;
-        outcome)
+        match
+          Kernel.capture_response ctx (fun () ->
+              v.App_registry.handler ctx sub_env)
+        with
+        | Some (body, _) -> Ok body
+        | None -> Error (module_id ^ ": no response"))
   in
   {
     App_registry.viewer =
@@ -401,7 +395,7 @@ let handle_audit platform request =
   let int_param name =
     Option.bind (Request.param request name) int_of_string_opt
   in
-  (* structured filters ride the indexed query path:
+  (* structured filters, one scan of the log:
      /audit?pid=7&kind=flow_checked&from=10&to=99 *)
   let entries =
     Audit.query
@@ -440,13 +434,13 @@ let throttled platform ~viewer request =
         (Rate_limit.allow limiter ~key
            ~now:(Kernel.tick (Platform.kernel platform)))
 
-(* Routing resolves either to a provider front-end page (handled
-   inline — these are trusted, cheap, and never spawn a process) or to
-   an application dispatch, which [submit] spawns and [conclude] runs
-   (if no scheduler has) and exports. Throttling and the enablement
-   check happen here. *)
+(* Routing resolves either to a provider front-end page (trusted,
+   cheap, never a process: [submit] renders it inside the request's
+   span) or to an application dispatch, which [submit] spawns and
+   [conclude] runs (if no scheduler has) and exports. Throttling and
+   the enablement check happen here. *)
 type routed =
-  | Page of Response.t
+  | Page of (unit -> Response.t)
   | Dispatch of { app_id : string; version : string option }
 
 let not_enabled_page app_id =
@@ -461,42 +455,40 @@ let not_enabled_page app_id =
 
 let route_to_app platform request ~viewer ~app_id =
   if throttled platform ~viewer request then
-    Page (Response.too_many_requests "rate limit exceeded")
+    Page (fun () -> Response.too_many_requests "rate limit exceeded")
   else
     match viewer with
     | Some account when not (Policy.app_enabled account.Account.policy app_id)
       ->
-        Page (not_enabled_page app_id)
+        Page (fun () -> not_enabled_page app_id)
     | Some _ | None ->
         Dispatch { app_id; version = Request.param request "version" }
 
 let route_request platform request ~viewer ~dns_route =
+  let page handle = Page (fun () -> handle platform request) in
   match dns_route with
   | Some app_id -> route_to_app platform request ~viewer ~app_id
   | None -> (
       match request.Request.uri.Uri.segments with
-      | [] -> Page (home platform)
-      | [ "signup" ] -> Page (handle_signup platform request)
-      | [ "login" ] -> Page (handle_login platform request)
-      | [ "logout" ] -> Page (handle_logout platform request)
-      | [ "enable" ] -> Page (handle_enable platform request)
-      | [ "invite" ] -> Page (handle_invite platform request)
-      | [ "invites" ] -> Page (handle_invites_list platform request)
-      | [ "invite_accept" ] ->
-          Page (handle_invite_answer platform request ~accept:true)
-      | [ "invite_decline" ] ->
-          Page (handle_invite_answer platform request ~accept:false)
-      | [ "settings" ] -> Page (handle_settings platform request)
-      | [ "me" ] -> Page (handle_me platform request)
-      | [ "group_create" ] -> Page (handle_group_create platform request)
-      | [ "group_add" ] -> Page (handle_group_member platform request ~add:true)
-      | [ "group_remove" ] ->
-          Page (handle_group_member platform request ~add:false)
-      | [ "source" ] -> Page (handle_source platform request)
-      | [ "audit" ] -> Page (handle_audit platform request)
+      | [] -> Page (fun () -> home platform)
+      | [ "signup" ] -> page handle_signup
+      | [ "login" ] -> page handle_login
+      | [ "logout" ] -> page handle_logout
+      | [ "enable" ] -> page handle_enable
+      | [ "invite" ] -> page handle_invite
+      | [ "invites" ] -> page handle_invites_list
+      | [ "invite_accept" ] -> page (handle_invite_answer ~accept:true)
+      | [ "invite_decline" ] -> page (handle_invite_answer ~accept:false)
+      | [ "settings" ] -> page handle_settings
+      | [ "me" ] -> page handle_me
+      | [ "group_create" ] -> page handle_group_create
+      | [ "group_add" ] -> page (handle_group_member ~add:true)
+      | [ "group_remove" ] -> page (handle_group_member ~add:false)
+      | [ "source" ] -> page handle_source
+      | [ "audit" ] -> page handle_audit
       | "app" :: dev :: name :: _rest ->
           route_to_app platform request ~viewer ~app_id:(dev ^ "/" ^ name)
-      | _ -> Page (Response.not_found request.Request.uri.Uri.path))
+      | _ -> Page (fun () -> Response.not_found request.Request.uri.Uri.path))
 
 (* The telemetry route label: the application id or the front-end page
    name — a closed set bounded by the registry, never a raw path (raw
@@ -535,6 +527,36 @@ and pending_state =
   | Done of Response.t * int  (** finished at submit time, at this tick *)
   | In_flight of Proc.t
 
+(* One balanced span per request, named for its route and opened at
+   the admission tick: slices interleave, spans must not. [work] is the
+   request's own work (a page's render, or its process's run and
+   export), so the syscalls, gate calls and export in it nest under
+   the span. Returns the response and the tick the request ended. *)
+let request_span platform ~route ~t0 work =
+  let kernel = Platform.kernel platform in
+  let tracer = Kernel.tracer kernel in
+  if not (W5_obs.Tracer.enabled tracer) then work ()
+  else begin
+    W5_obs.Tracer.start_span tracer ~tick:t0 ("gateway:" ^ route);
+    let ((response : Response.t), _) as outcome = work () in
+    W5_obs.Tracer.annotate tracer
+      [ ("status",
+         string_of_int (Response.status_code response.Response.status)) ];
+    W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
+    outcome
+  end
+
+(* A request that completes at submit (a page or an admission refusal)
+   gets its span there, around its own work. *)
+let completed platform ~route ~t0 render =
+  let kernel = Platform.kernel platform in
+  let r, t1 =
+    request_span platform ~route ~t0 (fun () ->
+        let r = render () in
+        (r, Kernel.tick kernel))
+  in
+  Done (r, t1)
+
 let submit platform request =
   let kernel = Platform.kernel platform in
   let viewer = viewer_of platform request in
@@ -543,10 +565,10 @@ let submit platform request =
   let t0 = Kernel.tick kernel in
   let state =
     match route_request platform request ~viewer ~dns_route with
-    | Page r -> Done (r, Kernel.tick kernel)
+    | Page render -> completed platform ~route ~t0 render
     | Dispatch { app_id; version } -> (
         match spawn_app platform ~viewer ~app_id ?version request with
-        | Error r -> Done (r, Kernel.tick kernel)
+        | Error r -> completed platform ~route ~t0 (fun () -> r)
         | Ok proc -> In_flight proc)
   in
   { p_route = route; p_viewer = viewer; p_submit_tick = t0; p_state = state }
@@ -576,34 +598,20 @@ let record_request platform ~route ~t0 ~t1 response =
 
 let conclude platform pending =
   let kernel = Platform.kernel platform in
-  let tracer = W5_os.Kernel.tracer kernel in
-  let traced = W5_obs.Tracer.enabled tracer in
-  (* One balanced span per request, opened here at the submit tick:
-     slices interleave, spans must not. A process that has not run yet
-     runs inside it, so its syscalls, gates and export nest under it. *)
-  if traced then
-    W5_obs.Tracer.start_span tracer ~tick:pending.p_submit_tick
-      ("gateway:" ^ pending.p_route);
   let response, t1 =
     match pending.p_state with
     | Done (r, t) -> (r, t)
     | In_flight proc ->
-        (* normally the scheduler already drove it to completion; a
-           conclude without a drain runs it now *)
-        Kernel.run_proc kernel proc;
-        let t1 =
-          match proc.Proc.finished_tick with
-          | Some t -> t
-          | None -> Kernel.tick kernel
-        in
-        (conclude_app platform ~viewer:pending.p_viewer proc, t1)
+        request_span platform ~route:pending.p_route ~t0:pending.p_submit_tick
+          (fun () ->
+            (* normally the scheduler already drove it to completion; a
+               conclude without a drain runs it now, inside the span *)
+            Kernel.run_proc kernel proc;
+            let t1 =
+              Option.value proc.Proc.finished_tick ~default:(Kernel.tick kernel)
+            in
+            (conclude_app platform ~viewer:pending.p_viewer proc, t1))
   in
-  if traced then begin
-    W5_obs.Tracer.annotate tracer
-      [ ("status",
-         string_of_int (Response.status_code response.Response.status)) ];
-    W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel)
-  end;
   record_request platform ~route:pending.p_route ~t0:pending.p_submit_tick ~t1
     response;
   response

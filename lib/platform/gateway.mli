@@ -58,13 +58,14 @@ val dispatch_app :
     spawn — without running the application, so thousands of requests
     can be in flight before a {!W5_os.Sched} drain interleaves them;
     {!conclude} then reads each process's outcome and pushes it
-    through the perimeter; {!handler} is the two back to back.
-    Provider front-end pages (trusted, cheap, no process) complete at
-    submit time, before the request's span opens. Request metrics,
-    latency (admission tick to the process's finish tick, so the
-    perimeter's gate ticks are not in it), SLO spend, and one balanced
-    trace span per request (opened at the admission tick) are all
-    recorded at conclusion. *)
+    through the perimeter; {!handler} is the two back to back. Each
+    request gets one balanced trace span, opened at the admission
+    tick, around its own work: a request that completes at submit (a
+    provider front-end page, or an admission refusal) gets it there,
+    so a page's syscalls nest under it; a process's span opens at
+    conclusion. Request metrics, latency (admission tick to the
+    process's finish tick, so the perimeter's gate ticks are not in
+    it) and SLO spend are recorded at conclusion. *)
 
 type pending
 (** An admitted request awaiting its outcome. *)

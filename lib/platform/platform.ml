@@ -54,25 +54,7 @@ let app_limits t ~app =
 let with_ctx t ~name ?owner ?(labels = Flow.bottom)
     ?(caps = Capability.Set.empty) ?(limits = Resource.unlimited) f =
   let owner = Option.value owner ~default:t.provider in
-  match Kernel.spawn t.kernel ~name ~owner ~labels ~caps ~limits (fun _ -> ())
-  with
-  | Error _ as e -> e
-  | Ok proc -> (
-      (* Replace the no-op body: spawn queued the process but we run
-         it synchronously here and capture f's value through a ref. *)
-      let result = ref (Error (Os_error.Invalid "with_ctx: did not run")) in
-      let ctx = { Kernel.kernel = t.kernel; proc } in
-      proc.Proc.state <- Proc.Running;
-      Kernel.advance_clock t.kernel;
-      (try result := f ctx with
-      | Kernel.Quota_kill kind ->
-          Proc.kill proc ~reason:("quota: " ^ Resource.kind_to_string kind);
-          result := Error (Os_error.Quota_exceeded kind)
-      );
-      (match proc.Proc.state with
-      | Proc.Running -> proc.Proc.state <- Proc.Exited
-      | Proc.Runnable | Proc.Exited | Proc.Killed _ -> ());
-      !result)
+  Kernel.exec t.kernel ~name ~owner ~labels ~caps ~limits f
 
 let users_root = "/users"
 let apps_root = "/apps"

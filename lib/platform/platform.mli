@@ -66,10 +66,12 @@ val with_ctx :
   t -> name:string -> ?owner:Principal.t -> ?labels:Flow.labels ->
   ?caps:Capability.Set.t -> ?limits:Resource.limits ->
   (Kernel.ctx -> ('a, Os_error.t) result) -> ('a, Os_error.t) result
-(** Run [f] inside a fresh synchronous process (defaults: provider-
-    owned, bottom labels, no caps, unlimited). The workhorse for
-    provider-side operations and tests. A quota kill or uncaught
-    exception surfaces as [Error]. *)
+(** Run [f] now in a fresh process through {!W5_os.Kernel.exec}
+    (defaults: provider-owned, bottom labels, no caps, unlimited). The
+    workhorse for provider-side operations and tests. The process is
+    never queued, and it ends like any other: a quota kill returns
+    [Error (Quota_exceeded _)] and any other exception
+    [Error (Invalid "uncaught: …")], both audited. *)
 
 (** {1 Accounts} *)
 

@@ -393,19 +393,3 @@ let note_delete kernel ~fresh ~collection ~id =
         restamp kernel collection e
       end
       else e.stamp <- None
-
-let note_external_write kernel ~path =
-  let prefix = Store_path.root ^ "/" in
-  let plen = String.length prefix in
-  if String.length path > plen && String.sub path 0 plen = prefix then begin
-    let rest = String.sub path plen (String.length path - plen) in
-    let dir =
-      match String.index_opt rest '/' with
-      | None -> rest
-      | Some i -> String.sub rest 0 i
-    in
-    let collection = Store_path.unsanitize dir in
-    match Hashtbl.find_opt (registry kernel) collection with
-    | None -> ()
-    | Some e -> e.stamp <- None
-  end

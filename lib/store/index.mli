@@ -79,8 +79,3 @@ val note_put :
 val note_delete :
   Kernel.t -> fresh:bool -> collection:string -> id:string -> unit
 (** After a successful delete. [fresh] is {!before_mutate}'s answer. *)
-
-val note_external_write : Kernel.t -> path:string -> unit
-(** Invalidate the entry owning [path] if it lies under the store
-    root; no-op otherwise. Federation sync/migrate call this for every
-    path they write — cheap insurance on top of the fs stamp. *)

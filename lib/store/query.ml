@@ -82,29 +82,6 @@ let absorb_summary ctx ~collection =
   | None -> Ok ()
   | Some labels -> Syscall.absorb_labels ctx labels
 
-let scan ctx ~collection ~read ~init ~f =
-  match Obj_store.list ctx ~collection with
-  | Error _ as e -> e
-  | Ok ids -> (
-      match absorb_summary ctx ~collection with
-      | Error _ as e -> e
-      | Ok () ->
-          meter_scanned ctx (List.length ids);
-          let step acc id =
-            match acc with
-            | Error _ as e -> e
-            | Ok acc -> (
-                match read ctx (Obj_store.object_path collection id) with
-                | Error e -> Error (`Row (id, e))
-                | Ok data -> (
-                    match Record.decode data with
-                    | Error _ -> Ok acc (* undecodable rows are skipped *)
-                    | Ok record -> Ok (f acc id record)))
-          in
-          Result.map_error
-            (fun (`Row (_, e)) -> e)
-            (List.fold_left step (Ok init) ids))
-
 let select ?limit ?(use_index = true) ctx ~collection ~where =
   match Obj_store.list ctx ~collection with
   | Error _ as e -> e
@@ -175,6 +152,3 @@ let select_leaky ctx ~collection ~where =
 
 let count ctx ~collection ~where =
   Result.map List.length (select ctx ~collection ~where)
-
-let fold ctx ~collection ~init ~f =
-  scan ctx ~collection ~read:Syscall.read_file_taint ~init ~f

@@ -79,9 +79,3 @@ val count :
   Kernel.ctx -> collection:string -> where:predicate ->
   (int, Os_error.t) result
 (** [List.length] of {!select}, with the same taint semantics. *)
-
-val fold :
-  Kernel.ctx -> collection:string -> init:'a ->
-  f:('a -> id -> Record.t -> 'a) -> ('a, Os_error.t) result
-(** Safe full-collection fold (taints like {!select}, visits every
-    row). *)

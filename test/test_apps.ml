@@ -1225,9 +1225,42 @@ let test_thumbnail_worker () =
   in
   check int_c "still served" 200 (status r)
 
+(* The same flow served the scheduled way: the worker is a service, so
+   no drain may run (and so end) it. *)
+let test_thumbnail_worker_scheduled () =
+  let world = make_world () in
+  ignore (add_user world "shutter");
+  ignore (ok_s' (W5_apps.Thumb_service.install world.platform ~user:"shutter"));
+  let scheduled request =
+    let pending = Gateway.submit world.platform request in
+    ignore (W5_os.Sched.run (Platform.kernel world.platform));
+    Gateway.conclude world.platform pending
+  in
+  let c = Client.make ~name:"shutter" scheduled in
+  ignore
+    (Client.post c "/login" ~form:[ ("user", "shutter"); ("pass", "shutter-pw") ]);
+  ignore
+    (Client.post c "/app/core/photos"
+       ~form:[ ("action", "upload"); ("id", "pic"); ("data", "ABCDEFGHIJKLMNOP") ]);
+  let r = Client.post c "/app/core/photos" ~form:[ ("action", "thumb"); ("id", "pic") ] in
+  check int_c "queued" 200 (status r);
+  check bool_c "confirmation" true (Client.saw c "thumbnail queued");
+  check int_c "one job" 1
+    (ok_s' (W5_apps.Thumb_service.pump_for world.platform ~user:"shutter"));
+  let r =
+    Client.get c "/app/core/photos"
+      ~params:[ ("action", "view"); ("user", "shutter"); ("id", "pic.thumb") ]
+  in
+  check int_c "thumb viewable" 200 (status r);
+  check bool_c "rendered" true (Client.saw c "ABCDEFGH~thumb")
+
 let suite =
   suite
-  @ [ Alcotest.test_case "thumbnail worker" `Quick test_thumbnail_worker ]
+  @ [
+      Alcotest.test_case "thumbnail worker" `Quick test_thumbnail_worker;
+      Alcotest.test_case "thumbnail worker, scheduled" `Quick
+        test_thumbnail_worker_scheduled;
+    ]
 
 (* ---- the groups app over HTTP ---- *)
 

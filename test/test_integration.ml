@@ -939,9 +939,34 @@ let test_one_request_path () =
   in
   check string_c "same metrics" (metrics a) (metrics b)
 
+(* A provider page renders inside its request's span: with tracing on,
+   the syscalls /group_create makes nest under one root. *)
+let test_page_is_one_trace () =
+  let platform, _, _, _ = setup () in
+  let client = login_client platform "alice" in
+  let tracer = W5_os.Kernel.tracer (Platform.kernel platform) in
+  W5_obs.Tracer.clear tracer;
+  W5_obs.Tracer.set_enabled tracer true;
+  let r = Client.post client "/group_create" ~form:[ ("name", "hikers") ] in
+  W5_obs.Tracer.set_enabled tracer false;
+  check int_c "created" 200 (Response.status_code r.Response.status);
+  match W5_obs.Tracer.traces tracer with
+  | [ root ] ->
+      check string_c "root" "gateway:group_create" root.W5_obs.Span.span_name;
+      check
+        (Alcotest.list string_c)
+        "the page's syscalls nest under it"
+        [ "sys.fs.mkdir"; "sys.fs.mkdir" ]
+        (List.map
+           (fun (s : W5_obs.Span.t) -> s.W5_obs.Span.span_name)
+           root.W5_obs.Span.children)
+  | traces ->
+      Alcotest.failf "expected one trace, got %d" (List.length traces)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "handler is submit then conclude" `Quick
         test_one_request_path;
+      Alcotest.test_case "a page is one trace" `Quick test_page_is_one_trace;
     ]

@@ -711,6 +711,10 @@ let test_service_handles_messages () =
          ~owner:(Kernel.kernel_principal kernel)
          (fun _ctx msg -> seen := msg.Proc.body :: !seen))
   in
+  (* the service has no body on the run queue: no drain may run it *)
+  Kernel.run kernel;
+  ignore (Sched.run kernel);
+  check bool_c "alive after drains" true (Service.is_alive service);
   run_value kernel ~name:"producer" (fun ctx ->
       ok (Syscall.send ctx ~to_:(Service.pid service) "one");
       ok (Syscall.send ctx ~to_:(Service.pid service) "two"));
@@ -771,7 +775,18 @@ let test_service_quota_kill () =
   (match Service.deliver_pending service with
   | Error (Os_error.Quota_exceeded _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected quota kill");
-  check bool_c "service dead" false (Service.is_alive service)
+  check bool_c "service dead" false (Service.is_alive service);
+  (* booked like any other process's quota kill *)
+  let kinds =
+    List.map
+      (fun e -> Audit.event_kind e.Audit.event)
+      (Audit.for_pid (Kernel.audit kernel) (Service.pid service))
+  in
+  check bool_c "quota_hit audited" true (List.mem "quota_hit" kinds);
+  check bool_c "kill audited" true (List.mem "killed" kinds);
+  check int_c "kill counted" 1
+    (W5_obs.Metrics.value (Kernel.meters kernel).Kernel.quota_kills
+       ~labels:[ ("kind", "cpu") ])
 
 let suite =
   suite

@@ -1268,9 +1268,54 @@ let test_expire_sessions_return () =
          Ok ()));
   check int_c "dropped" 0 (Platform.expire_sessions platform ~max_age:0)
 
+(* A platform context ends through the kernel like any process: the
+   kill is booked after the body's own audit entries, counted, and
+   returned as an error, and no body is left on the run queue. *)
+let test_with_ctx_ends_through_kernel () =
+  let platform = fresh_platform () in
+  let kernel = Platform.kernel platform in
+  let log = W5_os.Kernel.audit kernel in
+  let queued = W5_os.Kernel.pending_count kernel in
+  let kinds_since mark =
+    List.filteri (fun i _ -> i >= mark) (W5_os.Audit.entries log)
+    |> List.map (fun e -> W5_os.Audit.event_kind e.W5_os.Audit.event)
+  in
+  let mark = W5_os.Audit.length log in
+  (match
+     Platform.with_ctx platform ~name:"spin"
+       ~limits:(W5_os.Resource.make_limits ~cpu:2 ())
+       (fun ctx ->
+         let rec loop () =
+           ignore (W5_os.Syscall.debug_note ctx "tick");
+           loop ()
+         in
+         loop ())
+   with
+  | Error (W5_os.Os_error.Quota_exceeded W5_os.Resource.Cpu) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected a cpu quota kill");
+  check
+    (Alcotest.list string_c)
+    "kill booked after the body's notes"
+    [ "spawned"; "app_note"; "app_note"; "quota_hit"; "killed" ]
+    (kinds_since mark);
+  check int_c "kill counted" 1
+    (W5_obs.Metrics.value
+       (W5_os.Kernel.meters kernel).W5_os.Kernel.quota_kills
+       ~labels:[ ("kind", "cpu") ]);
+  let mark = W5_os.Audit.length log in
+  (match Platform.with_ctx platform ~name:"crash" (fun _ -> failwith "boom") with
+  | Error (W5_os.Os_error.Invalid _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected an uncaught-exception error");
+  check
+    (Alcotest.list string_c)
+    "crash booked" [ "spawned"; "killed" ] (kinds_since mark);
+  check int_c "nothing queued" queued (W5_os.Kernel.pending_count kernel)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "with_ctx ends through the kernel" `Quick
+        test_with_ctx_ends_through_kernel;
       Alcotest.test_case "admin quota-kill attribution" `Quick
         test_admin_quota_kill_attribution;
       Alcotest.test_case "account_exn raises" `Quick test_account_exn_raises;

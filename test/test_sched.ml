@@ -295,8 +295,8 @@ let test_gate_call_restores_preempt_hook () =
     [ "caller"; "caller" ] (List.rev !fired)
 
 let test_admission_skips_executed_bodies () =
-  (* Platform.with_ctx-style: a body spawned and run synchronously
-     before the drain must not run twice *)
+  (* a body spawned and run synchronously before the drain (as a
+     Gateway.conclude without a drain runs it) must not run twice *)
   let kernel = fresh_kernel () in
   let hits = ref 0 in
   (match

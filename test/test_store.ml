@@ -234,17 +234,12 @@ let test_query_leaky_baseline_leaks_shape () =
       check bool_c "caller unt tainted" false
         (Label.mem tag (Syscall.my_labels ctx).Flow.secrecy))
 
-let test_query_count_and_fold () =
+let test_query_count () =
   let kernel = Kernel.create () in
   run kernel ~name:"init" (fun ctx -> ok (Obj_store.init ctx));
   ignore (seed_inbox kernel);
   run kernel ~name:"agg" (fun ctx ->
-      check int_c "count" 4 (ok (Query.count ctx ~collection:"msgs" ~where:Query.always));
-      let total =
-        ok
-          (Query.fold ctx ~collection:"msgs" ~init:0 ~f:(fun acc _ _ -> acc + 1))
-      in
-      check int_c "fold" 4 total)
+      check int_c "count" 4 (ok (Query.count ctx ~collection:"msgs" ~where:Query.always)))
 
 let test_query_covert_channel_blocked_at_export () =
   (* The full E8 story: a prober computes a bit from the presence of a
@@ -277,7 +272,7 @@ let suite =
       test_query_taints_with_all_rows;
     Alcotest.test_case "leaky baseline leaks shape" `Quick
       test_query_leaky_baseline_leaks_shape;
-    Alcotest.test_case "query count and fold" `Quick test_query_count_and_fold;
+    Alcotest.test_case "query count" `Quick test_query_count;
     Alcotest.test_case "covert channel blocked at export" `Quick
       test_query_covert_channel_blocked_at_export;
   ]

@@ -17,10 +17,11 @@ test:
 # a denial), the federated trace / health goldens (byte-for-byte;
 # `w5 health` must judge the scripted faulty peer degraded, exit 2),
 # the scripted soak summary golden (`w5 soak` byte-for-byte —
-# the seeded scheduler must be deterministic across processes), and
-# the telemetry golden (`w5 stats`: every metric, the tick histograms
-# and the last trace tree, byte-for-byte).
-check: vet
+# the seeded scheduler must be deterministic across processes), the
+# telemetry golden (`w5 stats`: every metric, the tick histograms
+# and the last trace tree, byte-for-byte), and every example program
+# run to completion.
+check: vet examples
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --only provenance --smoke
 	dune exec bench/main.exe -- --only federation-faults --smoke

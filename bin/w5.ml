@@ -89,7 +89,8 @@ let serve seed users requests enforcing =
     (W5_os.Audit.length (W5_os.Kernel.audit (Platform.kernel platform)))
     (List.length (W5_os.Audit.denials (W5_os.Kernel.audit (Platform.kernel platform))));
   Printf.printf "kernel processes spawned: %d\n"
-    (List.length (W5_os.Kernel.processes (Platform.kernel platform)));
+    (W5_obs.Metrics.value
+       (W5_os.Kernel.meters (Platform.kernel platform)).W5_os.Kernel.spawns);
   `Ok ()
 
 let serve_cmd =

@@ -1,6 +1,8 @@
 open W5_difc
 open W5_obs
 
+module Pids = Map.Make (Int)
+
 type gate = {
   g_owner : Principal.t;
   g_caps : Capability.Set.t;
@@ -23,11 +25,12 @@ and meters = {
 and t = {
   k_fs : Fs.t;
   k_audit : Audit.log;
+  (* live processes: a process leaves when it ends *)
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
-  pending : Proc.t Queue.t;
-  (* the body of each queued process, until it starts *)
-  bodies : (int, body) Hashtbl.t;
+  (* queued processes that have not started, with their bodies; pid
+     order is spawn order, so this is also the FIFO run queue *)
+  mutable pending : (Proc.t * body) Pids.t;
   gates : (string, gate) Hashtbl.t;
   mutable k_tick : int;
   mutable k_enforcing : bool;
@@ -104,8 +107,7 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       k_audit = Audit.create ~capacity:audit_capacity ();
       procs = Hashtbl.create 64;
       next_pid = 0;
-      pending = Queue.create ();
-      bodies = Hashtbl.create 64;
+      pending = Pids.empty;
       gates = Hashtbl.create 16;
       k_tick = 0;
       k_enforcing = enforcing;
@@ -211,20 +213,24 @@ let spawn k ?parent ~name ~owner ~labels ~caps ~limits body =
   match create_proc k ?parent ~name ~owner ~labels ~caps ~limits () with
   | Error _ as e -> e
   | Ok proc ->
-      Hashtbl.replace k.bodies proc.Proc.pid body;
-      Queue.add proc k.pending;
+      k.pending <- Pids.add proc.Proc.pid (proc, body) k.pending;
       Ok proc
 
 (* Completion and failure bookkeeping, shared between the synchronous
    [bracket] below and the interleaved scheduler (Sched): both must
-   stamp the finish tick and convert quota kills / stray exceptions
-   into audited [Killed] states. *)
+   stamp the finish tick, take the process out of the table and
+   convert quota kills / stray exceptions into audited [Killed]
+   states. *)
+let ended k proc =
+  proc.Proc.finished_tick <- Some k.k_tick;
+  Hashtbl.remove k.procs proc.Proc.pid
+
 let finish_proc k proc =
   proc.Proc.state <- Proc.Exited;
-  proc.Proc.finished_tick <- Some k.k_tick
+  ended k proc
 
 let fail_proc k proc exn =
-  proc.Proc.finished_tick <- Some k.k_tick;
+  ended k proc;
   match exn with
   | Quota_kill kind ->
       let reason = "quota: " ^ Resource.kind_to_string kind in
@@ -251,17 +257,13 @@ let bracket k proc f =
       Ok v
   | exception exn -> Error (fail_proc k proc exn)
 
-(* A queued body leaves the table when its process starts, or when the
-   queue or [reap] lets go of a process that never will. *)
-let take_body k proc =
-  let body = Hashtbl.find_opt k.bodies proc.Proc.pid in
-  Hashtbl.remove k.bodies proc.Proc.pid;
-  body
-
 let run_proc k proc =
-  match (proc.Proc.state, take_body k proc) with
-  | Proc.Runnable, Some body -> ignore (bracket k proc body)
-  | _ -> ()
+  let pid = proc.Proc.pid in
+  match Pids.find_opt pid k.pending with
+  | None -> ()
+  | Some (_, body) ->
+      k.pending <- Pids.remove pid k.pending;
+      ignore (bracket k proc body)
 
 let exec k ~name ~owner ~labels ~caps ~limits f =
   match create_proc k ~name ~owner ~labels ~caps ~limits () with
@@ -278,16 +280,14 @@ let capture_response ctx f =
       f ();
       proc.Proc.response)
 
-(* Admission interface for the interleaved scheduler: pull spawned
-   processes off the kernel run queue without executing them. A process
-   that already started (or was killed before it could) is dropped. *)
-let rec take_pending k =
-  match Queue.take_opt k.pending with
+(* Admission interface for the interleaved scheduler: pull the oldest
+   unstarted process off the kernel run queue without executing it. *)
+let take_pending k =
+  match Pids.min_binding_opt k.pending with
   | None -> None
-  | Some proc -> (
-      match (proc.Proc.state, take_body k proc) with
-      | Proc.Runnable, Some body -> Some (proc, body)
-      | _ -> take_pending k)
+  | Some (pid, entry) ->
+      k.pending <- Pids.remove pid k.pending;
+      Some entry
 
 let rec run k =
   match take_pending k with
@@ -296,7 +296,7 @@ let rec run k =
       ignore (bracket k proc body);
       run k
 
-let pending_count k = Queue.length k.pending
+let pending_count k = Pids.cardinal k.pending
 
 let find_proc k pid = Hashtbl.find_opt k.procs pid
 
@@ -304,31 +304,7 @@ let processes k =
   Hashtbl.fold (fun _ p acc -> p :: acc) k.procs []
   |> List.sort (fun a b -> Int.compare a.Proc.pid b.Proc.pid)
 
-let reap k =
-  let dead =
-    Hashtbl.fold
-      (fun pid p acc -> if Proc.is_alive p then acc else pid :: acc)
-      k.procs []
-  in
-  List.iter
-    (fun pid ->
-      Hashtbl.remove k.procs pid;
-      Hashtbl.remove k.bodies pid)
-    dead;
-  (* drop dead processes from the run queue too, or their records stay
-     reachable forever *)
-  let live = Queue.create () in
-  Queue.iter
-    (fun proc -> if Proc.is_alive proc then Queue.add proc live)
-    k.pending;
-  Queue.clear k.pending;
-  Queue.transfer live k.pending;
-  List.length dead
-
-let process_count k = Hashtbl.length k.procs
-
-let live_process_count k =
-  Hashtbl.fold (fun _ p acc -> if Proc.is_alive p then acc + 1 else acc) k.procs 0
+let live_process_count k = Hashtbl.length k.procs
 
 let register_gate k ~name ~owner ~caps ~entry =
   Hashtbl.replace k.gates name { g_owner = owner; g_caps = caps; g_entry = entry }

@@ -117,7 +117,10 @@ val kernel_principal : t -> Principal.t
     body run now), {!invoke_gate} (a gate child run now) or
     {!create_proc} alone (a {!Service}, driven message by message) —
     and ends in one: the kernel books it with {!finish_proc} or
-    {!fail_proc}. Code outside the kernel reads process state but never
+    {!fail_proc}, which also take it out of the process table. The
+    table therefore holds live processes only, and a pid that has ended
+    is unknown to {!find_proc} and to every syscall that names a
+    process. Code outside the kernel reads process state but never
     writes it. *)
 
 val create_proc :
@@ -143,10 +146,11 @@ val spawn :
 
 val run_proc : t -> Proc.t -> unit
 (** Start a queued process now and run its body to completion, if it
-    has not started yet; otherwise (already started, dead, or a
-    bodyless service) do nothing. The body leaves the kernel's table as
-    the process starts. Quota kills and uncaught application exceptions
-    are booked by {!fail_proc}; they do not escape. *)
+    has not started yet; otherwise (already started or ended, or a
+    bodyless service) do nothing. The process leaves the run queue as
+    it starts and the process table as it ends. Quota kills and
+    uncaught application exceptions are booked by {!fail_proc}; they
+    do not escape. *)
 
 val run : t -> unit
 (** Drain the run queue, executing queued processes in FIFO order
@@ -176,15 +180,14 @@ val capture_response : ctx -> (unit -> unit) -> (string * Flow.labels) option
     shared completion/failure bookkeeping. *)
 
 val take_pending : t -> (Proc.t * body) option
-(** Pull the next queued process that has not started, with its body,
-    off the run queue without executing it; queued processes that
-    already started or died are dropped on the way, and so are their
-    bodies. Used by the scheduler for admission; mutually exclusive
-    with {!run} over the same processes. *)
+(** Pull the oldest unstarted process, with its body, off the run queue
+    without executing it. The run queue holds only processes that have
+    not started, in spawn order. Used by the scheduler for admission;
+    mutually exclusive with {!run} over the same processes. *)
 
 val pending_count : t -> int
-(** Processes on the run queue: spawned, and not yet admitted, run or
-    reaped. *)
+(** Processes on the run queue: spawned, and not yet admitted or
+    run. *)
 
 val set_preempt_hook : t -> (Proc.t -> unit) option -> unit
 (** Install (or clear) the scheduler's preemption callback. While set,
@@ -199,32 +202,28 @@ val preempt_point : t -> Proc.t -> unit
     a gate child, which {!invoke_gate} runs with the hook set aside. *)
 
 val finish_proc : t -> Proc.t -> unit
-(** Mark a process [Exited] and stamp {!Proc.t.finished_tick}. *)
+(** Mark a process [Exited], stamp {!Proc.t.finished_tick} and take it
+    out of the process table. *)
 
 val fail_proc : t -> Proc.t -> exn -> Os_error.t
 (** Convert a process-body exception into an audited kill:
     {!Quota_kill} becomes a quota kill (metric + [Quota_hit] +
     [Killed] records), anything else an [uncaught: ...] kill. Stamps
-    the finish tick and returns the error that names the end:
+    the finish tick, takes the process out of the process table and
+    returns the error that names the end:
     [Quota_exceeded kind] or [Invalid "uncaught: …"]. Shared by every
     way a process runs: {!run_proc}, {!exec}, {!invoke_gate}'s child,
     the scheduler and {!Service}. *)
 
 val find_proc : t -> int -> Proc.t option
-val processes : t -> Proc.t list
+(** The live process with this pid: queued, running, suspended by the
+    scheduler, or a service. [None] once the process has ended. *)
 
-val reap : t -> int
-(** Drop exited and killed processes from the process table and the run
-    queue, with the body of any that died before it started; returns
-    how many were collected. A long-running provider calls this
-    periodically — the gateway does so automatically once the table
-    exceeds a watermark. *)
+val processes : t -> Proc.t list
+(** Every live process, in pid order. *)
 
 val live_process_count : t -> int
-
-val process_count : t -> int
-(** Table size including dead-but-unreaped processes — the reap
-    watermark reads this instead of materializing {!processes}. *)
+(** The size of the process table: live processes only. *)
 
 val register_gate :
   t -> name:string -> owner:Principal.t -> caps:Capability.Set.t ->

@@ -187,10 +187,10 @@ let handler =
     }
 
 (* Pull every process spawned since the last admission point off the
-   kernel run queue. [Kernel.take_pending] hands over only processes
-   that have not started, so a body already run synchronously (a
-   [Gateway.conclude] without a drain runs its process through
-   [Kernel.run_proc]) is never admitted twice. *)
+   kernel run queue, in spawn order. The run queue holds only processes
+   that have not started: [Kernel.run_proc] takes a process off it as it
+   starts (a [Gateway.conclude] without a drain runs its process that
+   way), so no body is admitted twice. *)
 let admit t =
   let rec loop () =
     match Kernel.take_pending t.sk with
@@ -207,66 +207,56 @@ let pick t =
     let i = match t.policy with Fifo -> 0 | Seeded _ -> next_rand t mod t.len in
     Some (pop_at t i)
 
-(* A process killed while suspended (possible if a test kills it by
-   hand between slices) still holds a frozen stack; discontinue it so
-   any finalizers on that stack (an application's own Fun.protect,
-   say) run before the slot is dropped. *)
-let discard_dead slot =
-  match slot.s_resume with
-  | Start _ -> ()
-  | Suspended cont -> ( try ignore (Effect.Deep.discontinue cont Exit) with _ -> ())
-
+(* An admitted process ends only inside its own slice, so every slot
+   popped here holds a live process. *)
 let run_slice t slot =
   let k = t.sk in
   let proc = slot.s_proc in
-  match proc.Proc.state with
-  | Proc.Exited | Proc.Killed _ -> discard_dead slot
-  | Proc.Runnable | Proc.Running ->
-      let depth = t.len + 1 in
-      if depth > t.st_max_depth then t.st_max_depth <- depth;
-      Metrics.observe t.m_depth depth;
-      Metrics.inc t.m_slices ~labels:[ ("policy", policy_label t.policy) ];
-      t.st_slices <- t.st_slices + 1;
-      (* the context switch itself costs one tick, like a dispatch *)
-      Kernel.advance_clock k;
-      t.current <- proc.Proc.pid;
-      t.slice_start <- Kernel.tick k;
-      let run () =
-        match slot.s_resume with
-        | Start body ->
-            proc.Proc.state <- Proc.Running;
-            Effect.Deep.match_with
-              (fun () -> body { Kernel.kernel = k; proc })
-              () handler
-        | Suspended cont -> Effect.Deep.continue cont ()
-      in
-      let tracer = Kernel.tracer k in
-      let result =
-        try
-          if Tracer.enabled tracer then
-            Tracer.with_span tracer
-              ~clock:(fun () -> Kernel.tick k)
-              ~fields:[ ("pid", string_of_int proc.Proc.pid) ]
-              "sched.slice" run
-          else run ()
-        with exn ->
-          ignore (Kernel.fail_proc k proc exn);
-          Completed
-      in
-      t.current <- -1;
-      Metrics.observe t.m_slice_ticks (Kernel.tick k - t.slice_start);
-      (match result with
-      | Completed -> (
-          match proc.Proc.state with
-          | Proc.Killed _ -> t.st_killed <- t.st_killed + 1
-          | Proc.Running | Proc.Runnable | Proc.Exited ->
-              Kernel.finish_proc k proc;
-              t.st_completed <- t.st_completed + 1)
-      | Yielded cont ->
-          t.st_preempt <- t.st_preempt + 1;
-          Metrics.inc t.m_preempt ~labels:[ ("policy", policy_label t.policy) ];
-          slot.s_resume <- Suspended cont;
-          push t slot)
+  let depth = t.len + 1 in
+  if depth > t.st_max_depth then t.st_max_depth <- depth;
+  Metrics.observe t.m_depth depth;
+  Metrics.inc t.m_slices ~labels:[ ("policy", policy_label t.policy) ];
+  t.st_slices <- t.st_slices + 1;
+  (* the context switch itself costs one tick, like a dispatch *)
+  Kernel.advance_clock k;
+  t.current <- proc.Proc.pid;
+  t.slice_start <- Kernel.tick k;
+  let run () =
+    match slot.s_resume with
+    | Start body ->
+        proc.Proc.state <- Proc.Running;
+        Effect.Deep.match_with
+          (fun () -> body { Kernel.kernel = k; proc })
+          () handler
+    | Suspended cont -> Effect.Deep.continue cont ()
+  in
+  let tracer = Kernel.tracer k in
+  let result =
+    try
+      if Tracer.enabled tracer then
+        Tracer.with_span tracer
+          ~clock:(fun () -> Kernel.tick k)
+          ~fields:[ ("pid", string_of_int proc.Proc.pid) ]
+          "sched.slice" run
+      else run ()
+    with exn ->
+      ignore (Kernel.fail_proc k proc exn);
+      Completed
+  in
+  t.current <- -1;
+  Metrics.observe t.m_slice_ticks (Kernel.tick k - t.slice_start);
+  match result with
+  | Completed -> (
+      match proc.Proc.state with
+      | Proc.Killed _ -> t.st_killed <- t.st_killed + 1
+      | Proc.Running | Proc.Runnable | Proc.Exited ->
+          Kernel.finish_proc k proc;
+          t.st_completed <- t.st_completed + 1)
+  | Yielded cont ->
+      t.st_preempt <- t.st_preempt + 1;
+      Metrics.inc t.m_preempt ~labels:[ ("policy", policy_label t.policy) ];
+      slot.s_resume <- Suspended cont;
+      push t slot
 
 let hook t proc =
   if

@@ -60,4 +60,4 @@ let pump services =
           Result.map (fun n -> total + n) (deliver_pending service))
     (Ok 0) services
 
-let shutdown t = Proc.kill t.service_proc ~reason:"shutdown"
+let shutdown t = Kernel.finish_proc t.kernel t.service_proc

@@ -25,8 +25,8 @@ val create :
   (t, Os_error.t) result
 (** The backing process is in the kernel's table but never on its run
     queue ({!Kernel.create_proc}), so no drain runs or ends it: it
-    stays alive until {!shutdown} or a failed delivery. The default
-    limits are the platform's app limits. *)
+    stays alive, and in the table, until {!shutdown} or a failed
+    delivery. The default limits are the platform's app limits. *)
 
 val pid : t -> int
 val proc : t -> Proc.t
@@ -49,3 +49,6 @@ val pump : t list -> (int, Os_error.t) result
 (** One round of {!deliver_pending} over each service; total handled. *)
 
 val shutdown : t -> unit
+(** End the service through {!Kernel.finish_proc}: it is [Exited] and
+    leaves the process table, so a send to its pid returns
+    [No_such_process]. Writes no audit entry. *)

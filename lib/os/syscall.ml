@@ -507,8 +507,6 @@ let grant_cap ctx ~to_ cap =
   else
     match Kernel.find_proc ctx.Kernel.kernel to_ with
     | None -> Error (Os_error.No_such_process to_)
-    | Some target when not (Proc.is_alive target) ->
-        Error (Os_error.Dead_process to_)
     | Some target -> (
         match
           check_flow ctx ~op:"cap.grant" ~subject:(Audit.Peer to_)
@@ -763,8 +761,6 @@ let send ctx ~to_ ?(grant = Capability.Set.empty) ?(use_caps = false) body =
   else
     match Kernel.find_proc ctx.Kernel.kernel to_ with
     | None -> Error (Os_error.No_such_process to_)
-    | Some target when not (Proc.is_alive target) ->
-        Error (Os_error.Dead_process to_)
     | Some target -> (
         (* A capability-exercising endpoint sheds every secrecy tag the
            sender holds [t-] for: the message leaves declassified. *)

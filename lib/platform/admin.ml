@@ -25,14 +25,9 @@ let collect platform =
   let kernel = Platform.kernel platform in
   let registry = Platform.registry platform in
   let log = Kernel.audit kernel in
-  (* map still-live pids to the app that owns them: app processes are
-     named by their app id at spawn *)
+  (* app processes are named by their app id at spawn, and a pid's
+     [Spawned] entry precedes every entry it causes *)
   let pid_app = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      if App_registry.find registry p.Proc.proc_name <> None then
-        Hashtbl.replace pid_app p.Proc.pid p.Proc.proc_name)
-    (Kernel.processes kernel);
   let denials_by_app = Hashtbl.create 16 in
   let kills_by_app = Hashtbl.create 16 in
   let bump table key =
@@ -46,7 +41,10 @@ let collect platform =
   Audit.iter log
     ~f:(fun (entry : Audit.entry) ->
       match entry.Audit.event with
-      | Audit.Spawned _ -> incr total_spawned
+      | Audit.Spawned { child; name; _ } ->
+          incr total_spawned;
+          if App_registry.find registry name <> None then
+            Hashtbl.replace pid_app child name
       | Audit.Flow_checked { decision = Error _; _ }
       | Audit.Label_changed { decision = Error _; _ } -> (
           incr total_denials;

@@ -28,10 +28,11 @@ type report = {
 }
 
 val collect : Platform.t -> report
-(** Attribution: a denial belongs to the application whose process
-    raised it (matched through the audit log's pid against the process
-    table, while the process is still unreaped) — processes already
-    reaped count only in the totals. *)
+(** Attribution: a denial or quota kill belongs to the application
+    whose process raised it, matched through the audit log's pid
+    against the [Spawned] entry that named the process after its app,
+    in the same pass over the log. An entry whose [Spawned] entry the
+    bounded log has already evicted counts only in the totals. *)
 
 val render : report -> string
 (** A plain-text operations summary. *)

@@ -112,9 +112,6 @@ let spawn_app platform ~viewer ~app_id ?version request =
 (* Conclusion half: the process has finished (or been killed); read
    its state and response and push the answer through the perimeter. *)
 let conclude_app platform ~viewer proc =
-  let kernel = Platform.kernel platform in
-  (* keep the long-running provider's process table lean *)
-  if Kernel.process_count kernel > 512 then ignore (Kernel.reap kernel);
   match (proc.Proc.state, proc.Proc.response) with
   | Proc.Killed reason, _ ->
       if String.length reason >= 5 && String.sub reason 0 5 = "quota" then

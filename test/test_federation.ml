@@ -213,6 +213,26 @@ let test_sync_merges_concurrent_edits () =
   check bool_c "union has both" true (List.mem "ann" friends && List.mem "ben" friends);
   check bool_c "replicas equal" true (Sync.converged link)
 
+(* Sync's reads and writes run in platform-side processes; each leaves
+   the process table as it ends, with no HTTP request to clean up
+   after them. *)
+let test_sync_rounds_leave_no_processes () =
+  let a, b, link = setup_linked_user () in
+  let account_a = Platform.account_exn a.Sync.platform "zoe" in
+  for round = 1 to 100 do
+    ignore
+      (ok_os
+         (Platform.write_user_record a.Sync.platform account_a ~file:"friends"
+            (Record.of_fields [ ("friends", Printf.sprintf "pal%d" round) ])));
+    ignore (ok_s (Sync.sync link))
+  done;
+  check bool_c "converged" true (Sync.converged link);
+  let table side =
+    List.length (W5_os.Kernel.processes (Platform.kernel side.Sync.platform))
+  in
+  check int_c "a's table" 0 (table a);
+  check int_c "b's table" 0 (table b)
+
 let test_sync_requires_both_accounts () =
   let a = make_side "pa" and b = make_side "pb" in
   ignore (ok_s (Platform.signup a.Sync.platform ~user:"solo" ~password:"pw"));
@@ -258,6 +278,8 @@ let suite =
       test_sync_propagates_updates_both_ways;
     Alcotest.test_case "sync merges concurrent edits" `Quick
       test_sync_merges_concurrent_edits;
+    Alcotest.test_case "sync rounds leave no processes" `Quick
+      test_sync_rounds_leave_no_processes;
     Alcotest.test_case "sync requires both accounts" `Quick
       test_sync_requires_both_accounts;
     Alcotest.test_case "export respects grants" `Quick test_export_respects_grants;

@@ -590,18 +590,68 @@ let test_enforcement_off_allows_everything () =
   | Proc.Killed _ -> ()
   | _ -> Alcotest.fail "quota ignored with enforcement off"
 
-let test_reap () =
+(* The process table holds live processes only: a process leaves it
+   when it ends, however it ends, and one that has not started stays. *)
+let test_process_leaves_table_when_it_ends () =
   let kernel = Kernel.create () in
-  List.iter
-    (fun i -> run_value kernel ~name:(Printf.sprintf "worker%d" i) (fun _ -> ()))
-    (List.init 5 Fun.id);
+  let gate_child = ref None in
+  Kernel.register_gate kernel ~name:"echo"
+    ~owner:(Kernel.kernel_principal kernel) ~caps:Capability.Set.empty
+    ~entry:(fun ctx arg ->
+      gate_child := Some ctx.Kernel.proc;
+      ignore (Syscall.respond ctx arg));
+  let finished, _ =
+    run kernel ~name:"caller" (fun ctx ->
+        ignore (Syscall.invoke_gate ctx "echo" ~arg:"hi"))
+  in
+  let hog, _ =
+    run kernel ~limits:(Resource.make_limits ~cpu:5 ()) ~name:"hog" (fun ctx ->
+        let rec burn () =
+          ignore (Syscall.file_exists ctx "/");
+          burn ()
+        in
+        burn ())
+  in
   let dormant = spawn_dormant kernel ~name:"keeper" () in
-  check int_c "alive" 1 (Kernel.live_process_count kernel);
-  let reaped = Kernel.reap kernel in
-  check int_c "reaped" 5 reaped;
-  check bool_c "keeper survives" true
-    (Kernel.find_proc kernel dormant.Proc.pid <> None);
-  check int_c "second reap finds nothing" 0 (Kernel.reap kernel)
+  let child =
+    match !gate_child with Some p -> p | None -> Alcotest.fail "gate never ran"
+  in
+  check bool_c "caller exited" true (finished.Proc.state = Proc.Exited);
+  check bool_c "gate child exited" true (child.Proc.state = Proc.Exited);
+  check bool_c "hog killed" true
+    (match hog.Proc.state with Proc.Killed _ -> true | _ -> false);
+  List.iter
+    (fun (what, p) ->
+      check bool_c (what ^ " left the table") true
+        (Kernel.find_proc kernel p.Proc.pid = None))
+    [ ("finished", finished); ("gate child", child); ("quota-killed", hog) ];
+  check (Alcotest.list int_c) "only the dormant spawn stays"
+    [ dormant.Proc.pid ]
+    (List.map (fun p -> p.Proc.pid) (Kernel.processes kernel));
+  check int_c "live count" 1 (Kernel.live_process_count kernel)
+
+(* A pid that has ended is gone from the table, so IPC to it fails as
+   it does for a pid that never existed. *)
+let test_ended_pid_is_no_such_process () =
+  let kernel = Kernel.create () in
+  let tag = Tag.fresh ~name:"ended.s" Tag.Secrecy in
+  let minus = Capability.make tag Capability.Minus in
+  let gone, _ = run kernel ~name:"gone" (fun _ -> ()) in
+  let sent, granted =
+    run_value kernel
+      ~caps:(Capability.Set.of_list [ minus ])
+      ~name:"late" (fun ctx ->
+        ( Syscall.send ctx ~to_:gone.Proc.pid "too late",
+          Syscall.grant_cap ctx ~to_:gone.Proc.pid minus ))
+  in
+  let expect what = function
+    | Error (Os_error.No_such_process pid) ->
+        check int_c (what ^ " names the pid") gone.Proc.pid pid
+    | Ok () -> Alcotest.failf "%s reached an ended process" what
+    | Error e -> Alcotest.failf "%s: %s" what (Os_error.to_string e)
+  in
+  expect "send" sent;
+  expect "grant_cap" granted
 
 let test_respond_and_debug_note () =
   let kernel = Kernel.create () in
@@ -627,20 +677,17 @@ let test_respond_and_debug_note () =
 let test_spawned_children_inherit_taint_rules () =
   let kernel = Kernel.create () in
   let tag = Tag.fresh ~name:"child.s" Tag.Secrecy in
+  let kid = ref None in
   run_value kernel ~name:"parent" (fun ctx ->
       ok (Syscall.add_taint ctx (Label.singleton tag));
       (* child with same labels: fine; runs with the taint *)
-      let child =
-        ok (Syscall.spawn ctx ~name:"kid" (fun kid_ctx ->
-                assert (Label.mem tag (Syscall.my_labels kid_ctx).Flow.secrecy)))
-      in
-      ignore child);
+      kid :=
+        Some
+          (ok (Syscall.spawn ctx ~name:"kid" (fun kid_ctx ->
+                   assert (Label.mem tag (Syscall.my_labels kid_ctx).Flow.secrecy)))));
   Kernel.run kernel;
   (* the assertion inside the child would have killed it; verify it exited *)
-  let kid =
-    List.find_opt (fun p -> p.Proc.proc_name = "kid") (Kernel.processes kernel)
-  in
-  match kid with
+  match !kid with
   | Some p -> check bool_c "child exited cleanly" true (p.Proc.state = Proc.Exited)
   | None -> Alcotest.fail "child missing"
 
@@ -654,7 +701,10 @@ let suite =
         test_gate_restricted_response_needs_cap;
       Alcotest.test_case "enforcement off allows everything" `Quick
         test_enforcement_off_allows_everything;
-      Alcotest.test_case "reap" `Quick test_reap;
+      Alcotest.test_case "a process leaves the table when it ends" `Quick
+        test_process_leaves_table_when_it_ends;
+      Alcotest.test_case "send and grant to an ended pid" `Quick
+        test_ended_pid_is_no_such_process;
       Alcotest.test_case "respond and debug note" `Quick
         test_respond_and_debug_note;
       Alcotest.test_case "children inherit taint" `Quick
@@ -726,6 +776,14 @@ let test_service_handles_messages () =
   check int_c "idle pump" 0 (ok (Service.pump [ service ]));
   Service.shutdown service;
   check bool_c "dead" false (Service.is_alive service);
+  check bool_c "left the table" true
+    (Kernel.find_proc kernel (Service.pid service) = None);
+  (match
+     run_value kernel ~name:"late" (fun ctx ->
+         Syscall.send ctx ~to_:(Service.pid service) "three")
+   with
+  | Error (Os_error.No_such_process _) -> ()
+  | Ok () | Error _ -> Alcotest.fail "sent to a shut-down service");
   match Service.deliver_pending service with
   | Error (Os_error.Dead_process _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "delivered to a dead service"

@@ -666,8 +666,43 @@ let test_admin_report () =
      in
      scan 0)
 
+(* Attribution reads the log alone, not the process table. Alice's
+   friends-only declassifier makes each refused export run two more
+   processes (the perimeter's context and the gate child). *)
+let test_admin_attribution_from_log () =
+  let platform = fresh_platform () in
+  let alice = signup platform "alice" in
+  ignore
+    (Declassifier.install_and_authorize platform ~account:alice ~name:"friends"
+       Declassifier.friends_only);
+  ignore (signup platform "mallory");
+  let dev = Principal.make Principal.Developer "mal" in
+  ignore (W5_apps.Malicious.publish_all platform ~dev);
+  (match Platform.enable_app platform ~user:"mallory" ~app:"mal/thief" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let mallory = Client.make ~name:"mallory" (Gateway.handler platform) in
+  ignore
+    (Client.post mallory "/login"
+       ~form:[ ("user", "mallory"); ("pass", "mallory-pw") ]);
+  for _ = 1 to 300 do
+    ignore (Client.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ])
+  done;
+  let report = Admin.collect platform in
+  let thief =
+    List.find (fun s -> s.Admin.app_id = "mal/thief") report.Admin.per_app
+  in
+  check int_c "one denial per request" 300 thief.Admin.denials;
+  check bool_c "flagged as suspicious" true
+    (List.mem "mal/thief" (Admin.suspicious_apps report))
+
 let suite =
-  suite @ [ Alcotest.test_case "admin report" `Quick test_admin_report ]
+  suite
+  @ [
+      Alcotest.test_case "admin report" `Quick test_admin_report;
+      Alcotest.test_case "admin attribution from the log" `Quick
+        test_admin_attribution_from_log;
+    ]
 
 (* ---- groups: circle-owned restricted tags ---- *)
 

@@ -75,7 +75,7 @@ let fresh_kernel () =
   kernel
 
 let spawn_mix kernel mix =
-  List.iteri
+  List.mapi
     (fun i steps ->
       match
         Kernel.spawn kernel
@@ -84,7 +84,7 @@ let spawn_mix kernel mix =
           ~labels:Flow.bottom ~caps:Capability.Set.empty
           ~limits:Resource.default_app_limits (body_of i steps)
       with
-      | Ok _ -> ()
+      | Ok proc -> proc
       | Error e -> Alcotest.failf "spawn p%d: %s" i (Os_error.to_string e))
     mix
 
@@ -124,7 +124,7 @@ let fs_image kernel =
 
 let run_scheduled ~seed ~quantum mix =
   let kernel = fresh_kernel () in
-  spawn_mix kernel mix;
+  ignore (spawn_mix kernel mix);
   let stats = Sched.run ~quantum ~policy:(Sched.Seeded seed) kernel in
   (kernel, stats)
 
@@ -133,48 +133,46 @@ let run_scheduled ~seed ~quantum mix =
 let test_preemption_interleaves () =
   let mix = [ List.init 20 (fun n -> Burn n); List.init 20 (fun n -> Burn n) ] in
   let kernel = fresh_kernel () in
-  spawn_mix kernel mix;
+  let procs = spawn_mix kernel mix in
   let stats = Sched.run ~quantum:1 ~policy:Sched.Fifo kernel in
   check int_c "both completed" 2 stats.Sched.completed;
   check bool_c "preempted repeatedly" true (stats.Sched.preemptions > 4);
   check bool_c "more slices than processes" true (stats.Sched.slices > 4);
   check int_c "nobody killed" 0 stats.Sched.killed;
   (* every process is runnable-to-exit exactly once *)
+  check int_c "two spawned" 2 (List.length procs);
   List.iter
     (fun p ->
-      if p.Proc.proc_name <> "setup" then begin
-        check bool_c "exited" true (p.Proc.state = Proc.Exited);
-        check bool_c "finish tick stamped" true (p.Proc.finished_tick <> None)
-      end)
-    (Kernel.processes kernel)
+      check bool_c "exited" true (p.Proc.state = Proc.Exited);
+      check bool_c "finish tick stamped" true (p.Proc.finished_tick <> None))
+    procs
 
 let test_quota_kill_mid_slice () =
   let kernel = fresh_kernel () in
   (* a hog: burns CPU forever, with a tight limit; a neighbour that
      must be unaffected *)
-  (match
-     Kernel.spawn kernel ~name:"hog"
-       ~owner:(Principal.make Principal.Developer "hog")
-       ~labels:Flow.bottom ~caps:Capability.Set.empty
-       ~limits:(Resource.make_limits ~cpu:25 ())
-       (fun ctx ->
-         ignore (Syscall.create_file ctx "/mix/hog-before" ~labels:Flow.bottom
-                   ~data:"written before the kill");
-         let rec burn () =
-           ignore (Syscall.consume ctx ~cpu:1);
-           burn ()
-         in
-         burn ())
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "spawn hog: %s" (Os_error.to_string e));
-  spawn_mix kernel [ List.init 10 (fun n -> Write n) ];
+  let hog =
+    match
+      Kernel.spawn kernel ~name:"hog"
+        ~owner:(Principal.make Principal.Developer "hog")
+        ~labels:Flow.bottom ~caps:Capability.Set.empty
+        ~limits:(Resource.make_limits ~cpu:25 ())
+        (fun ctx ->
+          ignore (Syscall.create_file ctx "/mix/hog-before" ~labels:Flow.bottom
+                    ~data:"written before the kill");
+          let rec burn () =
+            ignore (Syscall.consume ctx ~cpu:1);
+            burn ()
+          in
+          burn ())
+    with
+    | Ok proc -> proc
+    | Error e -> Alcotest.failf "spawn hog: %s" (Os_error.to_string e)
+  in
+  ignore (spawn_mix kernel [ List.init 10 (fun n -> Write n) ]);
   let stats = Sched.run ~quantum:3 ~policy:(Sched.Seeded 7) kernel in
   check int_c "hog killed" 1 stats.Sched.killed;
   check int_c "neighbour completed" 1 stats.Sched.completed;
-  let hog =
-    List.find (fun p -> p.Proc.proc_name = "hog") (Kernel.processes kernel)
-  in
   (match hog.Proc.state with
   | Proc.Killed reason ->
       check bool_c "killed by quota" true
@@ -182,6 +180,8 @@ let test_quota_kill_mid_slice () =
   | _ -> Alcotest.fail "hog not killed");
   check bool_c "finish tick stamped on kill" true
     (hog.Proc.finished_tick <> None);
+  check bool_c "hog left the table" true
+    (Kernel.find_proc kernel hog.Proc.pid = None);
   (* the killed process's audit trail is whole: its pre-kill write is
      in the log, and so are the Quota_hit and Killed records *)
   let events_for pid =
@@ -314,19 +314,33 @@ let test_admission_skips_executed_bodies () =
   check int_c "not admitted again" 0 stats.Sched.completed;
   check int_c "not run again" 1 !hits
 
-let test_process_count_matches () =
+(* Admitted processes leave the run queue, and each leaves the process
+   table as it ends, killed or not: a drain leaves nothing behind. *)
+let test_drain_empties_table () =
   let kernel = fresh_kernel () in
-  spawn_mix kernel [ [ Write 0 ]; [ Write 1 ]; [ Burn 2 ] ];
-  check int_c "count = table size" (List.length (Kernel.processes kernel))
-    (Kernel.process_count kernel);
-  ignore (Sched.run kernel);
-  check int_c "count = table size after run"
-    (List.length (Kernel.processes kernel))
-    (Kernel.process_count kernel);
-  ignore (Kernel.reap kernel);
-  check int_c "count = table size after reap"
-    (List.length (Kernel.processes kernel))
-    (Kernel.process_count kernel)
+  let burns = List.init 20 (fun n -> Burn n) in
+  let procs = spawn_mix kernel [ [ Write 0 ]; burns ] in
+  let hog =
+    match
+      Kernel.spawn kernel ~name:"hog"
+        ~owner:(Principal.make Principal.Developer "hog")
+        ~labels:Flow.bottom ~caps:Capability.Set.empty
+        ~limits:(Resource.make_limits ~cpu:10 ())
+        (body_of 2 burns)
+    with
+    | Ok proc -> proc
+    | Error e -> Alcotest.failf "spawn hog: %s" (Os_error.to_string e)
+  in
+  check (Alcotest.list int_c) "table = the spawned"
+    (List.map (fun p -> p.Proc.pid) (procs @ [ hog ]))
+    (List.map (fun p -> p.Proc.pid) (Kernel.processes kernel));
+  check int_c "all queued" 3 (Kernel.pending_count kernel);
+  let stats = Sched.run ~quantum:1 ~policy:(Sched.Seeded 3) kernel in
+  check int_c "two completed" 2 stats.Sched.completed;
+  check int_c "hog killed" 1 stats.Sched.killed;
+  check int_c "run queue empty" 0 (Kernel.pending_count kernel);
+  check (Alcotest.list int_c) "table empty" []
+    (List.map (fun p -> p.Proc.pid) (Kernel.processes kernel))
 
 (* ---- properties ---- *)
 
@@ -374,7 +388,7 @@ let prop_interleaved_converges_to_sequential =
     (fun (seed, quantum, mix) ->
       let k1, _ = run_scheduled ~seed ~quantum mix in
       let k2 = fresh_kernel () in
-      spawn_mix k2 mix;
+      ignore (spawn_mix k2 mix);
       Kernel.run k2;
       fs_image k1 = fs_image k2)
 
@@ -398,8 +412,8 @@ let suite =
       test_gate_call_restores_preempt_hook;
     Alcotest.test_case "admission skips already-executed bodies" `Quick
       test_admission_skips_executed_bodies;
-    Alcotest.test_case "process_count tracks the table" `Quick
-      test_process_count_matches;
+    Alcotest.test_case "a drain empties the process table" `Quick
+      test_drain_empties_table;
     QCheck_alcotest.to_alcotest prop_same_seed_same_bytes;
     QCheck_alcotest.to_alcotest prop_interleaved_converges_to_sequential;
     QCheck_alcotest.to_alcotest prop_different_seeds_still_converge;

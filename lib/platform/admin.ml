@@ -14,6 +14,7 @@ type report = {
   live_processes : int;
   total_processes_spawned : int;
   audit_entries : int;
+  audit_evicted : int;
   total_denials : int;
   export_denials : int;
   sessions_active : int;
@@ -35,14 +36,12 @@ let collect platform =
       (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
   in
   let total_denials = ref 0 and export_denials = ref 0 in
-  let total_spawned = ref 0 in
   (* Audit.iter walks oldest-first without materializing the entry
      list — the log can hold tens of thousands of records. *)
   Audit.iter log
     ~f:(fun (entry : Audit.entry) ->
       match entry.Audit.event with
       | Audit.Spawned { child; name; _ } ->
-          incr total_spawned;
           if App_registry.find registry name <> None then
             Hashtbl.replace pid_app child name
       | Audit.Flow_checked { decision = Error _; _ }
@@ -86,8 +85,10 @@ let collect platform =
     apps = List.length (App_registry.list_ids registry);
     requests_served = Platform.requests_served platform;
     live_processes = Kernel.live_process_count kernel;
-    total_processes_spawned = !total_spawned;
+    total_processes_spawned =
+      W5_obs.Metrics.value (Kernel.meters kernel).Kernel.spawns;
     audit_entries = Audit.length log;
+    audit_evicted = Audit.evicted log;
     total_denials = !total_denials;
     export_denials = !export_denials;
     sessions_active = W5_http.Session.active (Platform.sessions platform);
@@ -104,12 +105,13 @@ let render report =
     report.sessions_active;
   line "requests served: %d  processes: %d live / %d spawned"
     report.requests_served report.live_processes report.total_processes_spawned;
-  line "filesystem nodes: %d  audit entries: %d" report.files
-    report.audit_entries;
-  line "denials: %d total (%d at the perimeter)" report.total_denials
-    report.export_denials;
+  line "filesystem nodes: %d  audit entries: %d retained / %d evicted"
+    report.files report.audit_entries report.audit_evicted;
+  line "denials in the retained log: %d total (%d at the perimeter)"
+    report.total_denials report.export_denials;
   line "";
-  line "%-24s %9s %8s %6s" "app" "installs" "denials" "kills";
+  line "%-24s %9s %8s %6s   (denials and kills: retained log)" "app"
+    "installs" "denials" "kills";
   List.iter
     (fun s ->
       line "%-24s %9d %8d %6d" s.app_id s.installs s.denials s.quota_kills)

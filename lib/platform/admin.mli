@@ -3,14 +3,16 @@
     "The providers' entire purpose and business is to get these
     functions right" (§2) — so the provider needs to see, at a glance,
     which applications trip the enforcement machinery. Everything here
-    is derived from the audit log and platform state; it reads no user
-    data. *)
+    is derived from the audit log, the kernel's meters and platform
+    state; it reads no user data. *)
 
 type app_stats = {
   app_id : string;
   installs : int;
-  denials : int;      (** flow/export denials attributed to its processes *)
-  quota_kills : int;
+  denials : int;
+      (** flow/export denials in the retained log attributed to its
+          processes *)
+  quota_kills : int;     (** in the retained log *)
 }
 
 type report = {
@@ -19,9 +21,11 @@ type report = {
   requests_served : int;
   live_processes : int;
   total_processes_spawned : int;
-  audit_entries : int;
-  total_denials : int;
-  export_denials : int;
+      (** lifetime, from [w5_proc_spawns_total] *)
+  audit_entries : int;   (** entries the bounded audit log retains *)
+  audit_evicted : int;   (** entries it has discarded *)
+  total_denials : int;   (** in the retained log *)
+  export_denials : int;  (** in the retained log *)
   sessions_active : int;
   files : int;
   per_app : app_stats list;  (** sorted by descending denials *)
@@ -32,10 +36,12 @@ val collect : Platform.t -> report
     whose process raised it, matched through the audit log's pid
     against the [Spawned] entry that named the process after its app,
     in the same pass over the log. An entry whose [Spawned] entry the
-    bounded log has already evicted counts only in the totals. *)
+    bounded log has already evicted counts only in the retained-log
+    totals. *)
 
 val render : report -> string
-(** A plain-text operations summary. *)
+(** A plain-text operations summary. It says which counts cover only
+    the retained log and how many entries the log has evicted. *)
 
 val suspicious_apps : ?threshold:int -> report -> string list
 (** Apps with at least [threshold] (default 3) denials — candidates

@@ -14,9 +14,10 @@
     Consistency is self-checked against the filesystem: each entry is
     stamped with the collection directory's [(generation, version)]
     pair, which {!W5_os.Fs} bumps on any mutation beneath the
-    directory — including writes that bypass {!Obj_store}, such as
-    federation sync or a snapshot restore. A stale stamp triggers a
-    rebuild on next use.
+    directory — {!Obj_store}'s own puts and deletes as well as writes
+    that bypass it, such as federation sync or a snapshot restore. A
+    stale stamp makes the next use rebuild the entry from the
+    filesystem; no write patches it.
 
     Telemetry records sizes and outcomes only (hit/fallback/rebuild
     counts, candidate-set cardinalities) — field names and values are
@@ -44,7 +45,8 @@ val summary : Kernel.t -> collection:string -> Flow.labels option
     plus the lookup path's taint — i.e. exactly what a full tainting
     scan of the collection would absorb into the caller. [None] when
     the collection is empty (a scan of nothing absorbs nothing).
-    Rebuilds the entry if stale. *)
+    The join is the one the last rebuild computed, rebuilding first
+    if the entry is stale; the path taint is re-read on every call. *)
 
 val plan :
   Kernel.t -> collection:string -> atom list ->
@@ -60,22 +62,3 @@ val plan :
 val meter_query_fallback : Kernel.t -> string -> unit
 (** Count a scan fallback under
     [w5_store_index_fallbacks_total{reason}]. *)
-
-(** {1 Maintenance hooks}
-
-    Called by {!Obj_store} around its own mutations, and by federation
-    code after writes that bypass the store. *)
-
-val before_mutate : Kernel.t -> collection:string -> bool
-(** Call {e before} an Obj_store put/delete: [true] iff the entry is
-    currently valid, in which case the matching [note_*] call may
-    update it incrementally; otherwise the entry stays invalid until
-    the next rebuild. *)
-
-val note_put :
-  Kernel.t -> fresh:bool -> collection:string -> id:string -> unit
-(** After a successful put. [fresh] is {!before_mutate}'s answer. *)
-
-val note_delete :
-  Kernel.t -> fresh:bool -> collection:string -> id:string -> unit
-(** After a successful delete. [fresh] is {!before_mutate}'s answer. *)

@@ -33,18 +33,10 @@ let create_collection ctx collection ~labels =
 
 let put ctx ~collection ~id ~labels record =
   meter ctx "put";
-  let kernel = ctx.Kernel.kernel in
   let path = object_path collection id in
   let data = Record.encode record in
-  let fresh = Index.before_mutate kernel ~collection in
-  let result =
-    if Syscall.file_exists ctx path then Syscall.write_file ctx path ~data
-    else Syscall.create_file ctx path ~labels ~data
-  in
-  (match result with
-  | Ok () -> Index.note_put kernel ~fresh ~collection ~id
-  | Error _ -> ());
-  result
+  if Syscall.file_exists ctx path then Syscall.write_file ctx path ~data
+  else Syscall.create_file ctx path ~labels ~data
 
 let get ctx ?(taint = false) ~collection ~id () =
   meter ctx "get";
@@ -57,13 +49,7 @@ let get ctx ?(taint = false) ~collection ~id () =
 
 let delete ctx ~collection ~id =
   meter ctx "delete";
-  let kernel = ctx.Kernel.kernel in
-  let fresh = Index.before_mutate kernel ~collection in
-  let result = Syscall.unlink ctx (object_path collection id) in
-  (match result with
-  | Ok () -> Index.note_delete kernel ~fresh ~collection ~id
-  | Error _ -> ());
-  result
+  Syscall.unlink ctx (object_path collection id)
 
 let list ctx ~collection =
   meter ctx "list";

@@ -250,6 +250,30 @@ let test_raw_write_invalidates_index () =
         [ "r00000"; "r00001"; "r00005" ]
         (hot ctx))
 
+(* An entry is rebuilt from the filesystem once per change to its
+   collection, and only then: repeated selects on an unchanged
+   collection reuse it, and a put through Obj_store costs exactly one
+   more rebuild rather than patching the entry in place. *)
+let test_rebuild_once_per_change () =
+  let kernel = fresh_store () in
+  seed_flat kernel ~collection:"acct" ~rows:8 ~matches:2;
+  let rebuilds () = counter kernel "w5_store_index_rebuilds_total" in
+  let hot () =
+    run kernel ~name:"reader" (fun ctx ->
+        select_ids ctx ~use_index:true ~collection:"acct"
+          (Query.field_equals "u" "hot"))
+  in
+  let r0 = rebuilds () in
+  ignore (hot ());
+  ignore (hot ());
+  check int_c "two selects on an unchanged collection" 1 (rebuilds () - r0);
+  run kernel ~name:"writer" (fun ctx ->
+      put ctx ~collection:"acct" ~id:"r00007" [ ("u", "hot"); ("score", "7") ]);
+  check (Alcotest.list string_c) "the select after the put sees it"
+    [ "r00000"; "r00001"; "r00007" ]
+    (hot ());
+  check int_c "a put between selects" 2 (rebuilds () - r0)
+
 let test_stray_directory_forces_fallback () =
   let kernel = fresh_store () in
   seed_flat kernel ~collection:"odd" ~rows:4 ~matches:1;
@@ -307,58 +331,82 @@ let arb_history =
              | Raw_write (id, data) -> Printf.sprintf "raw %s=%S" id data)
            ops))
 
+let apply_op ctx ~secret = function
+  | Put (id, v, is_secret) ->
+      put ctx ~collection:"h" ~id
+        ~labels:(if is_secret then secret else Flow.bottom)
+        [ ("u", v) ]
+  | Delete id -> (
+      match Obj_store.delete ctx ~collection:"h" ~id with
+      | Ok () | Error (Os_error.Not_found _) -> ()
+      | Error e -> Alcotest.failf "delete: %s" (Os_error.to_string e))
+  | Raw_write (id, data) -> (
+      let path = Obj_store.object_path "h" id in
+      match Syscall.write_file ctx path ~data with
+      | Ok () -> ()
+      | Error (Os_error.Not_found _) ->
+          ok (Syscall.create_file ctx path ~labels:Flow.bottom ~data)
+      | Error e -> Alcotest.failf "raw write: %s" (Os_error.to_string e))
+
+let history_secret () =
+  let tag = Tag.fresh ~name:"prop.s" Tag.Secrecy in
+  Flow.make ~secrecy:(Label.singleton tag) ()
+
+let create_history_collection ctx =
+  ok (Obj_store.create_collection ctx "h" ~labels:Flow.bottom);
+  Index.declare ctx ~collection:"h" ~field:"u" Index.Equality
+
+(* Each query runs in a fresh process, so the caller labels compared
+   are exactly the taint that one select imposed. *)
+let paths_agree kernel =
+  let observe use_index where =
+    run kernel ~name:"observe" (fun ctx ->
+        match Query.select ctx ~use_index ~collection:"h" ~where with
+        | Ok rows ->
+            Ok
+              (List.map (fun (id, r) -> (id, Record.fields r)) rows,
+               Syscall.my_labels ctx)
+        | Error e -> Error (Os_error.to_string e))
+  in
+  List.for_all
+    (fun where ->
+      match (observe true where, observe false where) with
+      | Ok (rows_i, labels_i), Ok (rows_s, labels_s) ->
+          rows_i = rows_s && Flow.equal_labels labels_i labels_s
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+    [
+      Query.field_equals "u" "v0";
+      Query.field_equals "u" "v9";
+      Query.(field_equals "u" "v1" &&& has_field "u");
+      Query.always;
+    ]
+
 let prop_indexed_equals_scan =
   QCheck.Test.make ~name:"indexed select = scanning select" ~count:60
     arb_history (fun ops ->
       let kernel = fresh_store () in
-      let tag = Tag.fresh ~name:"prop.s" Tag.Secrecy in
-      let secret = Flow.make ~secrecy:(Label.singleton tag) () in
+      let secret = history_secret () in
       run kernel ~name:"mutate" (fun ctx ->
-          ok (Obj_store.create_collection ctx "h" ~labels:Flow.bottom);
-          Index.declare ctx ~collection:"h" ~field:"u" Index.Equality;
-          List.iter
-            (function
-              | Put (id, v, is_secret) ->
-                  put ctx ~collection:"h" ~id
-                    ~labels:(if is_secret then secret else Flow.bottom)
-                    [ ("u", v) ]
-              | Delete id -> (
-                  match Obj_store.delete ctx ~collection:"h" ~id with
-                  | Ok () | Error (Os_error.Not_found _) -> ()
-                  | Error e ->
-                      Alcotest.failf "delete: %s" (Os_error.to_string e))
-              | Raw_write (id, data) -> (
-                  let path = Obj_store.object_path "h" id in
-                  match Syscall.write_file ctx path ~data with
-                  | Ok () -> ()
-                  | Error (Os_error.Not_found _) ->
-                      ok
-                        (Syscall.create_file ctx path ~labels:Flow.bottom ~data)
-                  | Error e ->
-                      Alcotest.failf "raw write: %s" (Os_error.to_string e)))
-            ops);
-      let observe use_index where =
-        run kernel ~name:"observe" (fun ctx ->
-            match Query.select ctx ~use_index ~collection:"h" ~where with
-            | Ok rows ->
-                Ok
-                  (List.map (fun (id, r) -> (id, Record.fields r)) rows,
-                   Syscall.my_labels ctx)
-            | Error e -> Error (Os_error.to_string e))
-      in
-      List.for_all
-        (fun where ->
-          match (observe true where, observe false where) with
-          | Ok (rows_i, labels_i), Ok (rows_s, labels_s) ->
-              rows_i = rows_s && Flow.equal_labels labels_i labels_s
-          | Error a, Error b -> a = b
-          | Ok _, Error _ | Error _, Ok _ -> false)
-        [
-          Query.field_equals "u" "v0";
-          Query.field_equals "u" "v9";
-          Query.(field_equals "u" "v1" &&& has_field "u");
-          Query.always;
-        ])
+          create_history_collection ctx;
+          List.iter (apply_op ctx ~secret) ops);
+      paths_agree kernel)
+
+(* The same histories, queried after every operation: a select that
+   follows a write to the collection must see exactly what a scan
+   sees, whatever the index held before the write. *)
+let prop_indexed_equals_scan_between_writes =
+  QCheck.Test.make ~name:"indexed select = scanning select between writes"
+    ~count:300 arb_history (fun ops ->
+      let kernel = fresh_store () in
+      let secret = history_secret () in
+      run kernel ~name:"setup" create_history_collection;
+      paths_agree kernel
+      && List.for_all
+           (fun op ->
+             run kernel ~name:"mutate" (fun ctx -> apply_op ctx ~secret op);
+             paths_agree kernel)
+           ops)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -377,7 +425,14 @@ let suite =
       test_restricted_tag_denied_identically;
     Alcotest.test_case "raw write invalidates index" `Quick
       test_raw_write_invalidates_index;
+    Alcotest.test_case "rebuild once per change" `Quick
+      test_rebuild_once_per_change;
     Alcotest.test_case "stray directory forces fallback" `Quick
       test_stray_directory_forces_fallback;
   ]
-  @ qsuite [ prop_sanitize_roundtrip; prop_indexed_equals_scan ]
+  @ qsuite
+      [
+        prop_sanitize_roundtrip;
+        prop_indexed_equals_scan;
+        prop_indexed_equals_scan_between_writes;
+      ]

@@ -696,12 +696,46 @@ let test_admin_attribution_from_log () =
   check bool_c "flagged as suspicious" true
     (List.mem "mal/thief" (Admin.suspicious_apps report))
 
+(* Once the bounded audit log has evicted every [Spawned] entry, the
+   report's spawn count still reads the kernel's lifetime meter, and
+   the rendering says how much of the log its other counts miss. *)
+let test_admin_report_after_eviction () =
+  let platform = fresh_platform () in
+  List.iter (fun user -> ignore (signup platform user)) [ "u1"; "u2"; "u3" ];
+  let kernel = Platform.kernel platform in
+  for _ = 1 to (2 * W5_os.Kernel.default_audit_capacity) + 1 do
+    W5_os.Kernel.record kernel ~pid:0 (W5_os.Audit.App_note "filler")
+  done;
+  let log = W5_os.Kernel.audit kernel in
+  check bool_c "no Spawned entry retained" false
+    (List.exists
+       (fun (e : W5_os.Audit.entry) ->
+         match e.W5_os.Audit.event with
+         | W5_os.Audit.Spawned _ -> true
+         | _ -> false)
+       (W5_os.Audit.entries log));
+  let spawns =
+    W5_obs.Metrics.value (W5_os.Kernel.meters kernel).W5_os.Kernel.spawns
+  in
+  check bool_c "signups spawned processes" true (spawns > 0);
+  let report = Admin.collect platform in
+  check int_c "spawned is the lifetime count" spawns
+    report.Admin.total_processes_spawned;
+  let text = Admin.render report in
+  let contains = Substring.contains text in
+  check bool_c "render prints the evicted count" true
+    (contains (Printf.sprintf "%d evicted" (W5_os.Audit.evicted log)));
+  check bool_c "render scopes denials to the retained log" true
+    (contains "denials in the retained log")
+
 let suite =
   suite
   @ [
       Alcotest.test_case "admin report" `Quick test_admin_report;
       Alcotest.test_case "admin attribution from the log" `Quick
         test_admin_attribution_from_log;
+      Alcotest.test_case "admin report after audit eviction" `Quick
+        test_admin_report_after_eviction;
     ]
 
 (* ---- groups: circle-owned restricted tags ---- *)
@@ -929,8 +963,8 @@ let test_admin_suspicious_threshold () =
   let report =
     {
       Admin.users = 0; apps = 1; requests_served = 0; live_processes = 0;
-      total_processes_spawned = 0; audit_entries = 0; total_denials = 2;
-      export_denials = 2; sessions_active = 0; files = 0;
+      total_processes_spawned = 0; audit_entries = 0; audit_evicted = 0;
+      total_denials = 2; export_denials = 2; sessions_active = 0; files = 0;
       per_app =
         [ { Admin.app_id = "x/y"; installs = 0; denials = 2; quota_kills = 0 } ];
     }

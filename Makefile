@@ -19,8 +19,9 @@ test:
 # the scripted soak summary golden (`w5 soak` byte-for-byte —
 # the seeded scheduler must be deterministic across processes), the
 # telemetry golden (`w5 stats`: every metric, the tick histograms
-# and the last trace tree, byte-for-byte), and every example program
-# run to completion.
+# and the last trace tree, byte-for-byte), a full audit log holding
+# exactly its capacity (`w5 serve`), and every example program run to
+# completion.
 check: vet examples
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --only provenance --smoke
@@ -34,6 +35,7 @@ check: vet examples
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2
 	dune exec bin/w5.exe -- soak | diff -u test/golden/soak.txt -
 	dune exec bin/w5.exe -- stats | diff -u test/golden/stats.txt -
+	dune exec bin/w5.exe -- serve --users 8 --requests 20000 | grep -F "audit log entries: 65536 ("
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

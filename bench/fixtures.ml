@@ -325,7 +325,7 @@ let scaling_societies () = Lazy.force scaling_societies_l
    spawns, a denial and an export attempt per "request"). Sizes are
    the retained entry counts the graph builder must chew through. *)
 let synthetic_audit_log n =
-  let log = W5_os.Audit.create () in
+  let log = W5_os.Audit.create ~capacity:n in
   let n_tags = 16 and n_paths = 64 and n_pids = 32 in
   let tags =
     Array.init n_tags (fun i ->

@@ -10,24 +10,6 @@ type entry = {
 
 type bundle = entry list
 
-(* Reuse the sync agent's privilege model: the user's own grants. *)
-let transfer_caps (account : Account.t) =
-  let tags =
-    account.Account.secret_tag
-    :: (match account.Account.read_tag with Some rt -> [ rt ] | None -> [])
-  in
-  List.fold_left
-    (fun caps tag ->
-      let caps =
-        if Capability.Set.can_drop tag account.Account.caps then
-          Capability.Set.add (Capability.make tag Capability.Minus) caps
-        else caps
-      in
-      if Capability.Set.can_add tag account.Account.caps then
-        Capability.Set.add (Capability.make tag Capability.Plus) caps
-      else caps)
-    Capability.Set.empty tags
-
 (* Consult [faults] at [op]:[file] outside any syscall context (a
    crash must surface as an error to the caller, not be swallowed by
    with_ctx): Drop retries [attempt] up to 3 times, a crash aborts,
@@ -50,7 +32,7 @@ let export_bundle ?faults platform (account : Account.t) =
   let home = Platform.user_dir account.Account.user in
   Platform.with_ctx platform
     ~name:("migrate.export:" ^ account.Account.user)
-    ~caps:(transfer_caps account)
+    ~caps:(Sync.transfer_caps account)
     (fun ctx ->
       let declassify_all () =
         List.iter

@@ -126,6 +126,11 @@ val lag : link -> int
     keep deliveries from completing — the health model's
     "is my peer keeping up" input. *)
 
+val transfer_caps : Account.t -> W5_difc.Capability.Set.t
+(** The privileges a user gives a data transfer agent, here and in
+    {!Migrate}: [t-] and [t+] over the account's secrecy tag and its
+    restricted read tag, each only if the account holds it. *)
+
 val export_record :
   Platform.t -> Account.t -> file:string ->
   (Record.t * int, Os_error.t) result

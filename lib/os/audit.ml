@@ -43,40 +43,99 @@ type entry = {
   event : event;
 }
 
+(* The retained window is a ring of [capacity] slots stored as
+   columns. The entry with sequence number [s] sits in slot
+   [(s - 1) mod capacity], so a slot stores no seq, and a full ring
+   overwrites its oldest slot. Readers build an [entry] only for a
+   slot they visit or match. *)
 type log = {
-  mutable seq : int;
-  mutable items : entry list;  (* newest first *)
-  mutable count : int;
-  capacity : int option;
+  capacity : int;
+  mutable ticks : int array;
+  mutable pids : int array;
+  mutable events : event array;
+  mutable seq : int;  (* records since [create] or [clear] *)
 }
 
-let create ?capacity () = { seq = 0; items = []; count = 0; capacity }
+(* What a slot holds before its first record. *)
+let vacant = App_note ""
+
+(* The columns start this long, small enough to be allocated in the
+   minor heap, and double while the log first fills. Allocating all
+   65,536 slots up front cost 0.6-1.2 ms a [Kernel.create] on a 2-vCPU
+   Xeon VM, mostly in major collections, against 5 us for the rest of
+   the kernel. *)
+let initial_slots = 256
+
+let create ~capacity =
+  if capacity < 1 then invalid_arg "Audit.create: capacity must be positive";
+  let n = min capacity initial_slots in
+  {
+    capacity;
+    ticks = Array.make n 0;
+    pids = Array.make n 0;
+    events = Array.make n vacant;
+    seq = 0;
+  }
+
+(* Double the columns, up to [capacity]. This runs only before the
+   ring first wraps, while every seq still sits at its own index, so
+   copying the prefix keeps every slot in place. *)
+let grow log =
+  let n = min log.capacity (2 * Array.length log.events) in
+  let extend column fill =
+    let longer = Array.make n fill in
+    Array.blit column 0 longer 0 (Array.length column);
+    longer
+  in
+  log.ticks <- extend log.ticks 0;
+  log.pids <- extend log.pids 0;
+  log.events <- extend log.events vacant
 
 let record log ~tick ~pid event =
-  log.seq <- log.seq + 1;
-  log.items <- { seq = log.seq; tick; pid; event } :: log.items;
-  log.count <- log.count + 1;
-  match log.capacity with
-  | Some cap when log.count > 2 * cap ->
-      (* amortized truncation: keep the newest [cap] entries *)
-      log.items <- List.filteri (fun i _ -> i < cap) log.items;
-      log.count <- cap
-  | Some _ | None -> ()
+  if log.seq = Array.length log.events && log.seq < log.capacity then grow log;
+  let i = log.seq mod log.capacity in
+  log.ticks.(i) <- tick;
+  log.pids.(i) <- pid;
+  log.events.(i) <- event;
+  log.seq <- log.seq + 1
 
-let length log = log.count
-let evicted log = log.seq - log.count
-let entries log = List.rev log.items
+let length log = min log.seq log.capacity
+let evicted log = log.seq - length log
 
-(* Oldest-first traversal without building the reversed list; the log
-   is bounded (see [create]) so the non-tail recursion is fine. *)
+let entry_at log seq i =
+  { seq; tick = log.ticks.(i); pid = log.pids.(i); event = log.events.(i) }
+
 let fold log ~init ~f =
-  List.fold_right (fun entry acc -> f acc entry) log.items init
+  let first = evicted log + 1 in
+  let acc = ref init and i = ref ((first - 1) mod log.capacity) in
+  for seq = first to log.seq do
+    acc := f !acc (entry_at log seq !i);
+    i := if !i + 1 = log.capacity then 0 else !i + 1
+  done;
+  !acc
 
 let iter log ~f = fold log ~init:() ~f:(fun () entry -> f entry)
-let find log ~f = List.rev (List.filter f log.items)
 
-let is_denial entry =
-  match entry.event with
+(* The retained entries with seq in [lo, hi] whose pid and event pass
+   [keep], oldest first. The scan runs newest to oldest over the
+   columns, so the list is built without a reversal, and an entry is
+   built only for a match. *)
+let select ?(lo = 1) ?(hi = max_int) log keep =
+  let first = max lo (evicted log + 1) and last = min hi log.seq in
+  let acc = ref [] in
+  if first <= last then begin
+    let i = ref ((last - 1) mod log.capacity) in
+    for seq = last downto first do
+      if keep log.pids.(!i) log.events.(!i) then
+        acc := entry_at log seq !i :: !acc;
+      i := if !i = 0 then log.capacity - 1 else !i - 1
+    done
+  end;
+  !acc
+
+let entries log = select log (fun _ _ -> true)
+
+let denies = function
   | Flow_checked { decision = Error _; _ }
   | Label_changed { decision = Error _; _ }
   | Export_attempted { decision = Error _; _ } ->
@@ -86,6 +145,8 @@ let is_denial entry =
   | Sync_recovered _ | Spawned _ | Gate_invoked _ | Killed _ | Quota_hit _
   | App_note _ ->
       false
+
+let is_denial entry = denies entry.event
 
 let event_kind = function
   | Flow_checked _ -> "flow_checked"
@@ -104,20 +165,20 @@ let event_kind = function
   | App_note _ -> "app_note"
 
 let query log ?pid ?kind ?seq_from ?seq_to ?(denials_only = false) () =
-  find log ~f:(fun e ->
-      (match pid with None -> true | Some p -> e.pid = p)
-      && (match kind with None -> true | Some k -> event_kind e.event = k)
-      && (match seq_from with None -> true | Some s -> e.seq >= s)
-      && (match seq_to with None -> true | Some s -> e.seq <= s)
-      && ((not denials_only) || is_denial e))
+  select ?lo:seq_from ?hi:seq_to log (fun p event ->
+      (match pid with None -> true | Some q -> p = q)
+      && (match kind with None -> true | Some k -> event_kind event = k)
+      && ((not denials_only) || denies event))
 
-let denials log = find log ~f:is_denial
-let for_pid log pid = find log ~f:(fun e -> e.pid = pid)
+let denials log = select log (fun _ event -> denies event)
+let for_pid log pid = select log (fun p _ -> p = pid)
 
 let clear log =
-  log.seq <- 0;
-  log.items <- [];
-  log.count <- 0
+  let fresh = create ~capacity:log.capacity in
+  log.ticks <- fresh.ticks;
+  log.pids <- fresh.pids;
+  log.events <- fresh.events;
+  log.seq <- 0
 
 let pp_subject fmt = function
   | No_subject -> ()

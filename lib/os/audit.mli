@@ -84,19 +84,26 @@ type entry = {
 
 type log
 
-val create : ?capacity:int -> unit -> log
-(** [capacity] bounds the log for long-running providers: once
-    exceeded, the oldest entries are discarded (sequence numbers keep
-    counting, so truncation is observable). Unbounded by default. *)
+val create : capacity:int -> log
+(** A log that retains exactly the newest [capacity] entries: once
+    [capacity] events have been recorded, each new one overwrites the
+    oldest in place. Sequence numbers keep counting, so truncation is
+    observable (see {!evicted}). Its slots are allocated as the log
+    first fills, so a log that records little stays small; a full log
+    neither grows nor copies.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val record : log -> tick:int -> pid:int -> event -> unit
 
 val length : log -> int
+(** Retained entries: [min n capacity] after [n] records. *)
 
 val evicted : log -> int
-(** How many entries truncation has discarded so far ([seq] of the
-    newest entry minus {!length}). Every query below sees only the
-    retained suffix: when [evicted] is non-zero, an empty result means
+(** How many entries truncation has discarded so far: [max 0 (n -
+    capacity)] after [n] records, which is the [seq] of the newest
+    entry minus {!length}. The retained entries are exactly seqs
+    [evicted + 1] to [evicted + length]. Every query below sees only
+    that window: when [evicted] is non-zero, an empty result means
     "not in the retained window", not "never happened". *)
 
 val entries : log -> entry list
@@ -109,9 +116,6 @@ val iter : log -> f:(entry -> unit) -> unit
 val fold : log -> init:'a -> f:('a -> entry -> 'a) -> 'a
 (** Oldest-first fold, same allocation guarantee as {!iter}. *)
 
-val find : log -> f:(entry -> bool) -> entry list
-(** Retained entries satisfying [f], oldest first. *)
-
 val query :
   log ->
   ?pid:int ->
@@ -122,8 +126,10 @@ val query :
   unit ->
   entry list
 (** Filtered scan, oldest first; all filters conjoin. [kind] matches
-    {!event_kind} strings. [seq_from]/[seq_to] are inclusive; asking
-    for sequence numbers older than the retained window (see
+    {!event_kind} strings. [seq_from]/[seq_to] are inclusive; the scan
+    visits only the retained slots in that range and builds an
+    {!entry} only for a match, so a one-seq lookup costs one slot.
+    Asking for sequence numbers older than the retained window (see
     {!evicted}) yields fewer entries than the range implies, silently
     — callers that care should compare against [evicted]. *)
 
@@ -131,7 +137,10 @@ val denials : log -> entry list
 (** Only the entries whose decision was a denial. *)
 
 val for_pid : log -> int -> entry list
+
 val clear : log -> unit
+(** Empty the log and restart sequence numbers at 1, as if it were new:
+    it keeps no reference to a cleared event. *)
 
 val is_denial : entry -> bool
 

@@ -59,10 +59,12 @@ and body = ctx -> unit
 
 exception Quota_kill of Resource.kind
 
-(* ~128k entries at ~100B apiece is on the order of 10 MB: enough
-   history for days of denial queries on a busy provider, small enough
-   that a soak run's memory stays flat. Sequence numbers keep counting
-   across eviction, so truncation is observable (Audit.create). *)
+(* A full log of 65,536 entries measured 5.1 to 7.6 MiB by
+   Obj.reachable_words after the bench/e2e workloads, 82-121 B an
+   entry: enough history for denial queries over a long trace, small
+   enough that a soak run's memory stays flat. Sequence numbers keep
+   counting across eviction, so truncation is observable
+   (Audit.evicted). *)
 let default_audit_capacity = 65536
 
 let make_meters m =
@@ -99,12 +101,12 @@ let make_meters m =
         ~help:"Completed traces evicted from the tracer ring";
   }
 
-let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
+let create ?(enforcing = true) () =
   let k_metrics = Metrics.create () in
   let k =
     {
       k_fs = Fs.create ();
-      k_audit = Audit.create ~capacity:audit_capacity ();
+      k_audit = Audit.create ~capacity:default_audit_capacity;
       procs = Hashtbl.create 64;
       next_pid = 0;
       pending = Pids.empty;

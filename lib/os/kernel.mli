@@ -30,21 +30,19 @@ exception Quota_kill of Resource.kind
     limit is exceeded; caught by the kernel, which kills the process. *)
 
 val default_audit_capacity : int
-(** 65536. An entry is on the order of 100 bytes, so the default keeps
-    the resident log under ~10 MB while still holding enough history
-    for denial queries over a long trace. Long-running providers that
-    accepted the seed's unbounded default would grow without bound
-    over a soak run; truncation stays observable because sequence
-    numbers keep counting (see {!Audit.create}). *)
+(** 65536. The log retains exactly this many entries. A retained entry
+    costs three words of columns plus its event: 82–121 bytes in all
+    by [Obj.reachable_words] of a full log after each [bench/e2e]
+    workload ([burst] least, [commingled]'s multi-tag labels most), so
+    a full log holds 5.1–7.6 MiB. Truncation stays observable because
+    sequence numbers keep counting (see {!Audit.evicted}). *)
 
-val create : ?enforcing:bool -> ?audit_capacity:int -> unit -> t
-(** A fresh kernel with an empty filesystem. [enforcing] (default
-    [true]) turns the IFC checks on; with it off the mechanism runs
-    but every check passes — this is the baseline arm of the overhead
-    benchmark (P1), {e never} a production configuration.
-    [audit_capacity] bounds the audit log (see {!Audit.create});
-    defaults to {!default_audit_capacity} so the gateway/kernel wiring
-    is memory-bounded out of the box. *)
+val create : ?enforcing:bool -> unit -> t
+(** A fresh kernel with an empty filesystem and an audit log of
+    {!default_audit_capacity} entries. [enforcing] (default [true])
+    turns the IFC checks on; with it off the mechanism runs but every
+    check passes — this is the baseline arm of the overhead benchmark
+    (P1), {e never} a production configuration. *)
 
 (** {1 Telemetry}
 

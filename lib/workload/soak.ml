@@ -355,8 +355,7 @@ let run ?(between_waves = fun _ _ -> ()) cfg =
       s_max_runq = stats.W5_os.Sched.max_depth;
       s_canary_leaks = !leaks;
       s_unlabeled_canaries = List.length bare;
-      s_audit_entries =
-        List.length (W5_os.Audit.entries (W5_os.Kernel.audit kernel));
+      s_audit_entries = W5_os.Audit.length (W5_os.Kernel.audit kernel);
       s_final_tick = W5_os.Kernel.tick kernel;
       s_digest = fingerprint_digest platform;
     } )

@@ -482,26 +482,19 @@ let test_kernel_meters () =
 
 let test_audit_truncation_seq () =
   let open W5_os in
-  let log = Audit.create ~capacity:10 () in
+  let log = Audit.create ~capacity:10 in
   for i = 1 to 25 do
     Audit.record log ~tick:i ~pid:1 (Audit.App_note "n")
   done;
-  check bool_c "log stays bounded" true (Audit.length log <= 20);
-  check bool_c "newest retained after eviction" true (Audit.length log >= 10);
-  let entries = Audit.entries log in
-  let seqs = List.map (fun e -> e.Audit.seq) entries in
-  check int_c "seq keeps counting across eviction" 25
-    (List.nth seqs (List.length seqs - 1));
-  check bool_c "oldest entries evicted" true (List.hd seqs > 1);
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a < b && ascending rest
-    | _ -> true
-  in
-  check bool_c "seqs strictly ascending" true (ascending seqs)
+  check int_c "log holds exactly its capacity" 10 (Audit.length log);
+  check int_c "evicted counts the rest" 15 (Audit.evicted log);
+  check (Alcotest.list int_c) "seq keeps counting across eviction"
+    (List.init 10 (fun i -> 16 + i))
+    (List.map (fun e -> e.Audit.seq) (Audit.entries log))
 
 let test_audit_iter_fold () =
   let open W5_os in
-  let log = Audit.create () in
+  let log = Audit.create ~capacity:16 in
   List.iter
     (fun i -> Audit.record log ~tick:i ~pid:i (Audit.App_note "n"))
     [ 1; 2; 3 ];

@@ -1022,7 +1022,7 @@ let test_path_taint_accumulates () =
   | Error e -> fail_err e
 
 let test_audit_clear_and_length () =
-  let log = Audit.create () in
+  let log = Audit.create ~capacity:16 in
   check int_c "empty" 0 (Audit.length log);
   Audit.record log ~tick:1 ~pid:7 (Audit.App_note "x");
   Audit.record log ~tick:2 ~pid:7 (Audit.App_note "y");
@@ -1214,20 +1214,200 @@ let suite =
   suite
   @ [ Alcotest.test_case "service pump multiple" `Quick test_service_pump_multiple ]
 
+(* Exact retention: with capacity [c], after [n] records the log holds
+   seqs [n - min n c + 1 .. n], oldest first, each with its own tick,
+   pid and event. Capacities above 256 also fill through the columns'
+   growth. *)
 let test_audit_capacity () =
-  let log = Audit.create ~capacity:10 () in
   List.iter
-    (fun i -> Audit.record log ~tick:i ~pid:1 (Audit.App_note (string_of_int i)))
-    (List.init 25 Fun.id);
-  check bool_c "bounded" true (Audit.length log <= 20);
-  (* the newest entries survive *)
-  let newest = List.rev (Audit.entries log) in
-  match newest with
-  | e :: _ -> check int_c "latest seq kept" 25 e.Audit.seq
-  | [] -> Alcotest.fail "log empty"
+    (fun (c, n) ->
+      let log = Audit.create ~capacity:c in
+      for i = 1 to n do
+        Audit.record log ~tick:(100 + i) ~pid:(i mod 7)
+          (Audit.App_note (string_of_int i))
+      done;
+      let name what = Printf.sprintf "c=%d n=%d: %s" c n what in
+      let kept = min n c in
+      check int_c (name "length") kept (Audit.length log);
+      check int_c (name "evicted") (max 0 (n - c)) (Audit.evicted log);
+      let expected = List.init kept (fun j -> n - kept + 1 + j) in
+      check
+        (Alcotest.list
+           (Alcotest.pair (Alcotest.triple int_c int_c int_c) string_c))
+        (name "seq, tick, pid and event, oldest first")
+        (List.map (fun s -> ((s, 100 + s, s mod 7), string_of_int s)) expected)
+        (List.map
+           (fun e ->
+             ( (e.Audit.seq, e.Audit.tick, e.Audit.pid),
+               match e.Audit.event with Audit.App_note s -> s | _ -> "?" ))
+           (Audit.entries log)))
+    [ (10, 0); (10, 3); (10, 10); (10, 11); (10, 25); (10, 20); (10, 21);
+      (1, 1); (1, 5); (3, 100); (600, 255); (600, 257); (600, 600);
+      (600, 1500); (Kernel.default_audit_capacity, 150_000) ];
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Audit.create: capacity must be positive") (fun () ->
+      ignore (Audit.create ~capacity:0))
+
+(* ---- audit log against the list model in audit_ref.ml ---- *)
+
+type audit_op =
+  | Record of int * int * int  (* tick, pid, index into [audit_events] *)
+  | Clear
+
+let audit_denial = Error (Flow.Secrecy_violation Label.empty)
+
+(* Allowed and denied decisions of three kinds, and kinds that never
+   deny; each call builds a fresh event, so the ring and the model
+   must hand back the very value recorded. *)
+let audit_events =
+  [|
+    (fun i -> Audit.App_note (string_of_int i));
+    (fun _ ->
+      Audit.Flow_checked
+        { op = "fs.read"; src = Flow.bottom; dst = Flow.bottom;
+          decision = Ok (); subject = Audit.File "/f" });
+    (fun _ ->
+      Audit.Flow_checked
+        { op = "fs.write"; src = Flow.bottom; dst = Flow.bottom;
+          decision = audit_denial; subject = Audit.Peer 2 });
+    (fun _ ->
+      Audit.Export_attempted
+        { destination = "browser"; labels = Flow.bottom;
+          decision = audit_denial });
+    (fun _ ->
+      Audit.Label_changed
+        { old_labels = Flow.bottom; new_labels = Flow.bottom;
+          decision = Ok () });
+    (fun i -> Audit.Spawned { child = i; name = "c"; labels = Flow.bottom });
+  |]
+
+let audit_kinds =
+  "killed"
+  :: Array.to_list
+       (Array.map (fun make -> Audit.event_kind (make 0)) audit_events)
+
+let gen_audit_case =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          ( 9,
+            map3
+              (fun tick pid ev -> Record (tick, pid, ev))
+              (0 -- 50) (0 -- 3)
+              (0 -- (Array.length audit_events - 1)) );
+          (1, return Clear);
+        ]
+    in
+    (* seq bounds reach below the first seq, into the evicted prefix
+       and past the newest entry *)
+    let bound = -2 -- 45 in
+    let filters = quad (0 -- 3) (oneofl audit_kinds) bound bound in
+    triple (1 -- 8) (list_size (0 -- 40) op) (list_size (1 -- 3) filters))
+
+let print_audit_case (capacity, ops, _) =
+  Printf.sprintf "capacity=%d ops=[%s]" capacity
+    (String.concat "; "
+       (List.map
+          (function
+            | Record (tick, pid, ev) -> Printf.sprintf "R(%d,%d,%d)" tick pid ev
+            | Clear -> "C")
+          ops))
+
+(* Two entry lists agree when seq, tick and pid match and each entry
+   carries the very event value that was recorded. *)
+let same_entries (a : Audit.entry list) (b : Audit.entry list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Audit.entry) (y : Audit.entry) ->
+         x.seq = y.seq && x.tick = y.tick && x.pid = y.pid
+         && x.event == y.event)
+       a b
+
+let prop_audit_matches_reference =
+  QCheck.Test.make ~name:"audit ring agrees with the list model" ~count:300
+    (QCheck.make ~print:print_audit_case gen_audit_case)
+    (fun (capacity, ops, filters) ->
+      let log = Audit.create ~capacity and model = Audit_ref.create ~capacity in
+      let agree () =
+        let expected = Audit_ref.entries model in
+        let iterated = ref [] in
+        Audit.iter log ~f:(fun e -> iterated := e :: !iterated);
+        same_entries expected (Audit.entries log)
+        && same_entries expected (List.rev !iterated)
+        && same_entries expected
+             (List.rev (Audit.fold log ~init:[] ~f:(fun acc e -> e :: acc)))
+        && Audit.length log = Audit_ref.length model
+        && Audit.evicted log = Audit_ref.evicted model
+        && same_entries (Audit_ref.denials model) (Audit.denials log)
+        && List.for_all
+             (fun pid ->
+               same_entries (Audit_ref.for_pid model pid)
+                 (Audit.for_pid log pid))
+             [ 0; 1; 2; 3 ]
+        && List.for_all
+             (fun (pid, kind, seq_from, seq_to) ->
+               (* every subset of the five filters *)
+               List.for_all
+                 (fun mask ->
+                   let pick bit v = if mask land bit <> 0 then Some v else None in
+                   let pid = pick 1 pid and kind = pick 2 kind
+                   and seq_from = pick 4 seq_from and seq_to = pick 8 seq_to
+                   and denials_only = mask land 16 <> 0 in
+                   same_entries
+                     (Audit_ref.query model ?pid ?kind ?seq_from ?seq_to
+                        ~denials_only ())
+                     (Audit.query log ?pid ?kind ?seq_from ?seq_to
+                        ~denials_only ()))
+                 (List.init 32 Fun.id))
+             filters
+      in
+      agree ()
+      && List.for_all
+           (fun op ->
+             (match op with
+             | Record (tick, pid, ev) ->
+                 let event = audit_events.(ev) tick in
+                 Audit.record log ~tick ~pid event;
+                 Audit_ref.record model ~tick ~pid event
+             | Clear ->
+                 Audit.clear log;
+                 Audit_ref.clear model);
+             agree ())
+           ops)
+
+(* A full log's footprint is fixed: recording another [capacity]
+   events replaces the retained ones and leaves the log exactly as
+   large. Each event is a fresh block of the same size. A cleared log
+   is as small as a new one: it keeps no event alive. *)
+let test_audit_footprint () =
+  let capacity = 1000 in
+  let log = Audit.create ~capacity in
+  let fill () =
+    for i = 1 to capacity do
+      Audit.record log ~tick:i ~pid:1 (Audit.Gate_invoked { gate = "g"; child = i })
+    done
+  in
+  fill ();
+  let at_capacity = Obj.reachable_words (Obj.repr log) in
+  fill ();
+  check int_c "words after 2 x capacity records" at_capacity
+    (Obj.reachable_words (Obj.repr log));
+  check int_c "length" capacity (Audit.length log);
+  check int_c "evicted" capacity (Audit.evicted log);
+  Audit.clear log;
+  check int_c "words after clear"
+    (Obj.reachable_words (Obj.repr (Audit.create ~capacity)))
+    (Obj.reachable_words (Obj.repr log))
 
 let suite =
-  suite @ [ Alcotest.test_case "audit capacity" `Quick test_audit_capacity ]
+  suite
+  @ [
+      Alcotest.test_case "audit capacity" `Quick test_audit_capacity;
+      QCheck_alcotest.to_alcotest prop_audit_matches_reference;
+      Alcotest.test_case "audit footprint is fixed at capacity" `Quick
+        test_audit_footprint;
+    ]
 
 let test_gate_registry_listing () =
   let kernel = Kernel.create () in

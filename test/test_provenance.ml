@@ -88,7 +88,7 @@ let test_audit_query () =
   let tag = Tag.fresh ~name:"q.t" Tag.Secrecy in
   let l = Label.singleton tag in
   let tainted = Flow.make ~secrecy:l () in
-  let log = Audit.create () in
+  let log = Audit.create ~capacity:16 in
   Audit.record log ~tick:1 ~pid:1 (Audit.App_note "a");
   Audit.record log ~tick:2 ~pid:2
     (Audit.Flow_checked
@@ -118,7 +118,7 @@ let test_audit_query () =
 
 let test_audit_query_after_eviction () =
   let open W5_os in
-  let log = Audit.create ~capacity:4 () in
+  let log = Audit.create ~capacity:4 in
   for i = 1 to 12 do
     Audit.record log ~tick:i ~pid:1 (Audit.App_note "n")
   done;

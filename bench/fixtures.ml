@@ -411,39 +411,6 @@ let vet_platforms_l =
 
 let vet_platforms () = Lazy.force vet_platforms_l
 
-(* ---- vet-concurrency: interference model and a replayable soak log ---- *)
-
-let interfere_static_l =
-  lazy
-    (let society = W5_workload.Populate.build_showcase ~seed:7 ~users:8 () in
-     W5_analysis.Static.capture society.W5_workload.Populate.platform)
-
-let interfere_static () = Lazy.force interfere_static_l
-
-let interfere_model_l =
-  lazy (W5_analysis.Interfere.model_of_static (interfere_static ()))
-
-let interfere_model () = Lazy.force interfere_model_l
-
-(* a finished interleaved run whose audit log the differential
-   replay (`Interfere.fold_audit`) folds over *)
-let interfere_soak_log_l =
-  lazy
-    (let cfg =
-       {
-         W5_workload.Soak.default_config with
-         W5_workload.Soak.seed = 11;
-         users = 8;
-         requests = 120;
-         waves = 2;
-       }
-     in
-     let society, _ = W5_workload.Soak.run cfg in
-     W5_os.Kernel.audit
-       (Platform.kernel society.W5_workload.Populate.platform))
-
-let interfere_soak_log () = Lazy.force interfere_soak_log_l
-
 (* ---- trace-health ---- *)
 
 (* Two converged pairs distinguished only by whether their kernels

@@ -761,52 +761,6 @@ let bench_vet () =
        (F.vet_platforms ()))
 
 (* ------------------------------------------------------------------ *)
-(* vet-concurrency: preemption-aware interference analysis             *)
-(* ------------------------------------------------------------------ *)
-
-let bench_vet_concurrency () =
-  let model = F.interfere_model () in
-  let toctou = W5_analysis.Interfere.seed_toctou model in
-  let log = F.interfere_soak_log () in
-  (* the oracle's cost on the largest configuration tests accept *)
-  let oracle_model =
-    let prog name ops =
-      {
-        W5_analysis.Mhp.name;
-        multiplicity = 1;
-        steps =
-          List.map (fun op -> { W5_analysis.Mhp.ctx = W5_analysis.Mhp.Direct; op }) ops;
-      }
-    in
-    W5_analysis.Mhp.make
-      [
-        prog "a" [ "fs.stat"; "fs.read"; "fs.write" ];
-        prog "b" [ "fs.relabel"; "fs.unlink" ];
-        prog "c" [ "ipc.send"; "ipc.recv" ];
-      ]
-  in
-  Test.make_grouped ~name:"vet-concurrency"
-    ([
-       Test.make ~name:"analyze-showcase-model"
-         (staged (fun () -> W5_analysis.Interfere.analyze model));
-       Test.make ~name:"analyze-toctou-model"
-         (staged (fun () -> W5_analysis.Interfere.analyze toctou));
-       Test.make ~name:"fold-audit-soak-log"
-         (staged (fun () -> W5_analysis.Interfere.fold_audit model log));
-       Test.make ~name:"oracle-interleavings-3x7"
-         (staged (fun () -> W5_analysis.Mhp.interleavings oracle_model));
-     ]
-    @ List.map
-        (fun (n, platform) ->
-          Test.make
-            ~name:(Printf.sprintf "capture-model-analyze-%d-apps" n)
-            (staged (fun () ->
-                 W5_analysis.Interfere.analyze
-                   (W5_analysis.Interfere.model_of_static
-                      (W5_analysis.Static.capture platform)))))
-        (F.vet_platforms ()))
-
-(* ------------------------------------------------------------------ *)
 (* trace-health: tracing overhead, merge scaling, health rollup        *)
 (* ------------------------------------------------------------------ *)
 
@@ -870,7 +824,6 @@ let group_thunks =
     ("client-filter", bench_filter);
     ("provenance", bench_provenance);
     ("vet", bench_vet);
-    ("vet-concurrency", bench_vet_concurrency);
     ("trace-health", bench_trace_health);
   ]
 

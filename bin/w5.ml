@@ -593,8 +593,6 @@ let stats seed users format =
   let st = W5_analysis.Static.capture platform in
   W5_analysis.Vet.export_metrics (W5_os.Kernel.metrics kernel)
     (W5_analysis.Vet.report st);
-  W5_analysis.Interfere.export_metrics (W5_os.Kernel.metrics kernel)
-    (W5_analysis.Interfere.analyze (W5_analysis.Interfere.model_of_static st));
   let metrics = W5_os.Kernel.metrics kernel in
   (match format with
   | `Json -> print_string (W5_obs.Exposition.json metrics)
@@ -632,87 +630,32 @@ let stats_cmd =
 
 (* ---- w5 vet: static label-flow analysis of the whole platform ---- *)
 
-(* The preemption-aware arm of vet: archetype programs over the
-   showcase snapshot, the race/TOCTOU analysis, and (with --runtime)
-   the differential replay of a freshly-run seeded soak audit log
-   against the model's predicted interference surface. *)
-let vet_concurrency seed users format toctou runtime_n =
+let vet seed users format dot runtime_n =
   let society = W5_workload.Populate.build_showcase ~seed ~users () in
   let platform = society.W5_workload.Populate.platform in
   let st = W5_analysis.Static.capture platform in
-  let model = W5_analysis.Interfere.model_of_static st in
-  let model =
-    if toctou then W5_analysis.Interfere.seed_toctou model else model
-  in
-  let report = W5_analysis.Interfere.analyze model in
-  (match format with
-  | `Json -> print_string (W5_analysis.Interfere.to_json report)
-  | `Dot -> print_string (W5_analysis.Interfere.to_dot report)
-  | `Text -> print_string (W5_analysis.Interfere.to_text report));
-  let replay_sev =
+  let runtime =
     match runtime_n with
     | None -> None
-    | Some requests ->
-        (* a real interleaved run, replayed against the model *)
-        let cfg =
-          {
-            W5_workload.Soak.default_config with
-            W5_workload.Soak.seed;
-            users = max 4 (min users 12);
-            requests;
-            waves = 2;
-          }
+    | Some length ->
+        (* Drive the soak workload *after* the snapshot, then check
+           every observed flow edge against the static graph. *)
+        let rng = W5_workload.Rng.create ~seed:(seed + 100) in
+        let actions =
+          W5_workload.Trace.generate rng ~society
+            ~mix:W5_workload.Trace.read_heavy ~length
         in
-        let soc, _summary = W5_workload.Soak.run cfg in
-        let log =
-          W5_os.Kernel.audit
-            (Platform.kernel soc.W5_workload.Populate.platform)
-        in
-        let replay = W5_analysis.Interfere.fold_audit model log in
-        if format <> `Json then begin
-          print_newline ();
-          print_string (W5_analysis.Interfere.replay_to_text replay)
-        end;
-        W5_analysis.Interfere.replay_worst replay
+        ignore (W5_workload.Trace.replay society actions);
+        Some
+          (W5_analysis.Vet.fold_audit st
+             (W5_os.Kernel.audit (Platform.kernel platform)))
   in
-  let worst =
-    match (W5_analysis.Interfere.worst report, replay_sev) with
-    | None, s | s, None -> s
-    | Some a, Some b -> Some (W5_analysis.Severity.max_sev a b)
-  in
-  exit (W5_analysis.Severity.exit_code worst)
-
-let vet seed users format dot runtime_n concurrency toctou =
-  if concurrency || toctou then
-    vet_concurrency seed users (if dot then `Dot else format) toctou
-      runtime_n
-  else begin
-    let society = W5_workload.Populate.build_showcase ~seed ~users () in
-    let platform = society.W5_workload.Populate.platform in
-    let st = W5_analysis.Static.capture platform in
-    let runtime =
-      match runtime_n with
-      | None -> None
-      | Some length ->
-          (* Drive the soak workload *after* the snapshot, then check
-             every observed flow edge against the static graph. *)
-          let rng = W5_workload.Rng.create ~seed:(seed + 100) in
-          let actions =
-            W5_workload.Trace.generate rng ~society
-              ~mix:W5_workload.Trace.read_heavy ~length
-          in
-          ignore (W5_workload.Trace.replay society actions);
-          Some
-            (W5_analysis.Vet.fold_audit st
-               (W5_os.Kernel.audit (Platform.kernel platform)))
-    in
-    let report = W5_analysis.Vet.report ?runtime st in
-    (match if dot then `Dot else format with
-    | `Json -> print_string (W5_analysis.Vet.to_json report)
-    | `Dot -> print_string (W5_analysis.Static.to_dot st)
-    | `Text -> print_string (W5_analysis.Vet.to_text report));
-    exit (W5_analysis.Vet.exit_code report)
-  end
+  let report = W5_analysis.Vet.report ?runtime st in
+  (match if dot then `Dot else format with
+  | `Json -> print_string (W5_analysis.Vet.to_json report)
+  | `Dot -> print_string (W5_analysis.Static.to_dot st)
+  | `Text -> print_string (W5_analysis.Vet.to_text report));
+  exit (W5_analysis.Vet.exit_code report)
 
 let vet_cmd =
   let users =
@@ -731,34 +674,16 @@ let vet_cmd =
     Arg.(value & opt (some int) None & info [ "runtime" ] ~docv:"N"
            ~doc:"Also replay an $(docv)-action workload and check every \
                  audited flow edge against the static graph (the \
-                 differential soundness pass). With --concurrency the \
-                 replay instead runs an $(docv)-request seeded soak and \
-                 checks every observed cross-thread label conflict against \
-                 the model's predicted interference surface.")
-  in
-  let concurrency =
-    Arg.(value & flag & info [ "concurrency" ]
-           ~doc:"Run the preemption-aware interference analysis instead: \
-                 syscall footprints over the scheduler's may-happen-in-\
-                 parallel model, reporting stale flow checks (TOCTOU) \
-                 and provably-benign commuting pairs.")
-  in
-  let toctou =
-    Arg.(value & flag & info [ "toctou" ]
-           ~doc:"With --concurrency (implied): analyze the deliberately \
-                 broken cached-writer model whose fs.write revalidates \
-                 nothing. CI pins this to exit status 3.")
+                 differential soundness pass).")
   in
   let term =
-    Term.(ret (const vet $ seed_arg $ users $ format $ dot $ runtime
-               $ concurrency $ toctou))
+    Term.(ret (const vet $ seed_arg $ users $ format $ dot $ runtime))
   in
   Cmd.v
     (Cmd.info "vet"
        ~doc:"Static label-flow analysis of the whole platform: where every \
              tag can go, ranked findings, optional runtime soundness check. \
-             --concurrency switches to the preemption-aware interference \
-             analysis. Exit status reflects the worst finding (0 clean/info, \
+             Exit status reflects the worst finding (0 clean/info, \
              2 warning, 3 high, 4 critical or unsound).")
     term
 

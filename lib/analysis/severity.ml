@@ -19,8 +19,8 @@ let worst sevs =
     None sevs
 
 (* The one exit-code contract every judging CLI shares (`w5 vet`,
-   `w5 vet --concurrency`, `w5 health`, `w5 soak`): exit 1 stays
-   reserved for tool errors, so findings start at 2. *)
+   `w5 health`, `w5 soak`): exit 1 stays reserved for tool errors, so
+   findings start at 2. *)
 let exit_code = function
   | None | Some Info -> 0
   | Some Warning -> 2

@@ -1,11 +1,11 @@
 (** Finding severities and the shared severity→exit-code contract.
 
-    `w5 vet`, `w5 vet --concurrency`, `w5 health`, and the soak CLI
-    all judge something and carry the worst finding in their exit
-    code. This module is the single home of that mapping — previously
-    each command restated it — and a unit test pins the 0/2/3/4
-    contract. Exit 1 stays reserved for tool errors (cmdliner parse
-    failures, uncaught exceptions), so findings start at 2. *)
+    `w5 vet`, `w5 health`, and the soak CLI all judge something and
+    carry the worst finding in their exit code. This module is the
+    single home of that mapping — previously each command restated it
+    — and a unit test pins the 0/2/3/4 contract. Exit 1 stays reserved
+    for tool errors (cmdliner parse failures, uncaught exceptions), so
+    findings start at 2. *)
 
 type t = Critical | High | Warning | Info
 
@@ -20,7 +20,6 @@ val all : t list
 (** Every severity, worst first. *)
 
 val compare : t -> t -> int
-val max_sev : t -> t -> t
 
 val worst : t list -> t option
 (** The worst severity present, [None] for an empty list. *)

@@ -3,7 +3,7 @@ open W5_os
 open W5_obs
 
 (* severities and the exit-code contract live in Severity, shared with
-   `w5 vet --concurrency`, `w5 health`, and the soak CLI *)
+   `w5 health` and the soak CLI *)
 type severity = Severity.t = Critical | High | Warning | Info
 
 type finding =
@@ -351,11 +351,8 @@ let max_severity r =
   let unsound =
     match r.runtime with Some rt -> rt.violations <> [] | None -> false
   in
-  List.fold_left
-    (fun acc f -> Some (Option.fold ~none:(severity_of f)
-                          ~some:(Severity.max_sev (severity_of f)) acc))
-    (if unsound then Some Critical else None)
-    r.findings
+  Severity.worst
+    ((if unsound then [ Critical ] else []) @ List.map severity_of r.findings)
 
 let exit_code r = Severity.exit_code (max_severity r)
 

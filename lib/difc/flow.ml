@@ -116,45 +116,3 @@ let raise_secrecy taint l = { l with secrecy = Label.union taint l.secrecy }
 let export_blockers ~caps l =
   if Capability.Set.is_empty caps then l.secrecy
   else Label.filter (fun t -> not (Capability.Set.can_drop t caps)) l.secrecy
-
-(* {1 Label updates and commutativity}
-
-   A first-class description of the ways the platform mutates a label:
-   join more tags in, remove a tag, or replace wholesale. The
-   interference analysis ranks a conflicting write pair as benign
-   exactly when the two updates commute — which for [Merge]/[Retract]
-   follows from the join-semilattice laws (union is ACI; removal of
-   distinct elements distributes), and a QCheck law in the test suite
-   validates the syntactic judgment below against actually applying
-   the updates in both orders. *)
-
-type update =
-  | Merge of labels  (** join into the current value (union/union) *)
-  | Assign of labels  (** replace wholesale *)
-  | Retract of Label.t  (** remove these tags from both lattices *)
-
-let apply_update l = function
-  | Merge m -> join l m
-  | Assign a -> a
-  | Retract tags ->
-      make
-        ~secrecy:(Label.diff l.secrecy tags)
-        ~integrity:(Label.diff l.integrity tags)
-        ()
-
-let updates_commute a b =
-  match (a, b) with
-  (* union is associative-commutative-idempotent *)
-  | Merge _, Merge _ -> true
-  (* removals of (possibly overlapping) tag sets commute *)
-  | Retract _, Retract _ -> true
-  (* merge and retract commute iff they touch disjoint tags: retract
-     after merge would otherwise strip what the merge added *)
-  | Merge m, Retract tags | Retract tags, Merge m ->
-      Label.is_empty (Label.inter m.secrecy tags)
-      && Label.is_empty (Label.inter m.integrity tags)
-  (* assignment wins by being last: two assigns commute only when
-     they agree, and assign never commutes with anything else that
-     touches the value *)
-  | Assign x, Assign y -> equal_labels x y
-  | Assign _, (Merge _ | Retract _) | (Merge _ | Retract _), Assign _ -> false

@@ -80,25 +80,3 @@ val export_blockers :
 (** Tags in the secrecy label that the holder of [caps] cannot
     declassify away: the residual label that keeps data inside the
     perimeter. Empty means the data may be exported. *)
-
-(** {1 Label updates and commutativity} *)
-
-(** The three shapes of label mutation the platform performs. [Merge]
-    and [Retract] are the semilattice directions; [Assign] replaces
-    wholesale. The syscall footprint table (lib/os) classifies every
-    label write as one of these, and the interference analysis calls a
-    conflicting write pair benign exactly when the updates commute. *)
-type update =
-  | Merge of labels
-  | Assign of labels
-  | Retract of Label.t
-
-val apply_update : labels -> update -> labels
-
-val updates_commute : update -> update -> bool
-(** Syntactic commutativity judgment: [true] guarantees
-    [apply_update (apply_update l a) b = apply_update (apply_update l b) a]
-    for every [l] (the QCheck law in the test suite pins this against
-    the semantics). Merge/Merge and Retract/Retract always commute;
-    Merge/Retract commute iff their tag sets are disjoint; Assign
-    commutes only with an identical Assign. *)

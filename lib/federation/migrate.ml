@@ -34,14 +34,6 @@ let export_bundle ?faults platform (account : Account.t) =
     ~name:("migrate.export:" ^ account.Account.user)
     ~caps:(Sync.transfer_caps account)
     (fun ctx ->
-      let declassify_all () =
-        List.iter
-          (fun tag ->
-            ignore
-              (Syscall.declassify_self ctx ~context:"federation.migrate" tag))
-          (account.Account.secret_tag
-          :: (match account.Account.read_tag with Some rt -> [ rt ] | None -> []))
-      in
       let rec walk path acc =
         match acc with
         | Error _ as e -> e
@@ -53,21 +45,21 @@ let export_bundle ?faults platform (account : Account.t) =
                 | Fs.Regular -> (
                     match Syscall.read_file_taint ctx path with
                     | Error _ as e -> e
-                    | Ok content ->
+                    | Ok content -> (
                         (* shed the taint now; if the grants cannot
-                           clear it the residue check below aborts *)
-                        declassify_all ();
-                        let residue = (Syscall.my_labels ctx).Flow.secrecy in
-                        if not (Label.is_empty residue) then
-                          Error
-                            (Os_error.Denied (Flow.Secrecy_violation residue))
-                        else
-                          let rel =
-                            String.sub path
-                              (String.length home + 1)
-                              (String.length path - String.length home - 1)
-                          in
-                          Ok ({ rel_path = rel; content } :: entries))
+                           clear it the export aborts *)
+                        match
+                          Sync.declassify_for_export ctx account
+                            ~context:"federation.migrate"
+                        with
+                        | Error _ as e -> e
+                        | Ok () ->
+                            let rel =
+                              String.sub path
+                                (String.length home + 1)
+                                (String.length path - String.length home - 1)
+                            in
+                            Ok ({ rel_path = rel; content } :: entries)))
                 | Fs.Directory -> (
                     (* stay tainted through the listing (strict
                        readdir needs it); files declassify on exit *)

@@ -55,6 +55,12 @@ let state_dir = ".sync"
 let seen_file ~peer = state_dir ^ "/seen-" ^ peer
 let intent_file ~peer = state_dir ^ "/intent-from-" ^ peer
 
+(* The tags a transfer agent handles for the owner: the account's
+   secrecy tag and, if it has one, its restricted read tag. *)
+let owner_tags (account : Account.t) =
+  account.Account.secret_tag
+  :: (match account.Account.read_tag with Some rt -> [ rt ] | None -> [])
+
 (* The privileges the user "gives to the data transfer application":
    declassification over their secrecy tags (and absorption for the
    restricted read tag). Only capabilities the account actually holds
@@ -62,10 +68,6 @@ let intent_file ~peer = state_dir ^ "/intent-from-" ^ peer
    nothing. Write authority is exercised separately via
    Platform.write_user_record. *)
 let transfer_caps (account : Account.t) =
-  let tags =
-    account.Account.secret_tag
-    :: (match account.Account.read_tag with Some rt -> [ rt ] | None -> [])
-  in
   List.fold_left
     (fun caps tag ->
       let caps =
@@ -76,7 +78,18 @@ let transfer_caps (account : Account.t) =
       if Capability.Set.can_add tag account.Account.caps then
         Capability.Set.add (Capability.make tag Capability.Plus) caps
       else caps)
-    Capability.Set.empty tags
+    Capability.Set.empty (owner_tags account)
+
+(* The agent only hands data off the platform once its label is
+   provably exportable: shed each owner tag it holds the grant for,
+   then refuse if any secrecy is left. *)
+let declassify_for_export ctx (account : Account.t) ~context =
+  List.iter
+    (fun tag -> ignore (Syscall.declassify_self ctx ~context tag))
+    (owner_tags account);
+  let residue = (Syscall.my_labels ctx).Flow.secrecy in
+  if Label.is_empty residue then Ok ()
+  else Error (Os_error.Denied (Flow.Secrecy_violation residue))
 
 let export_record platform (account : Account.t) ~file =
   let path = Platform.user_file account.Account.user file in
@@ -90,23 +103,14 @@ let export_record platform (account : Account.t) ~file =
           match Syscall.read_file_taint ctx path with
           | Error _ as e -> e
           | Ok data -> (
-              List.iter
-                (fun tag ->
-                  ignore
-                    (Syscall.declassify_self ctx ~context:"federation.sync" tag))
-                (account.Account.secret_tag
-                :: (match account.Account.read_tag with
-                   | Some rt -> [ rt ]
-                   | None -> []));
-              (* The agent only hands data off the platform once its
-                 label is provably exportable. *)
-              let residue = (Syscall.my_labels ctx).Flow.secrecy in
-              if not (Label.is_empty residue) then
-                Error (Os_error.Denied (Flow.Secrecy_violation residue))
-              else
-                match Record.decode data with
-                | Error m -> Error (Os_error.Invalid m)
-                | Ok record -> Ok (record, st.Fs.version))))
+              match
+                declassify_for_export ctx account ~context:"federation.sync"
+              with
+              | Error _ as e -> e
+              | Ok () -> (
+                  match Record.decode data with
+                  | Error m -> Error (Os_error.Invalid m)
+                  | Ok record -> Ok (record, st.Fs.version)))))
 
 let version_of platform (account : Account.t) ~file =
   let path = Platform.user_file account.Account.user file in

@@ -131,6 +131,16 @@ val transfer_caps : Account.t -> W5_difc.Capability.Set.t
     {!Migrate}: [t-] and [t+] over the account's secrecy tag and its
     restricted read tag, each only if the account holds it. *)
 
+val declassify_for_export :
+  W5_os.Kernel.ctx -> Account.t -> context:string ->
+  (unit, W5_os.Os_error.t) result
+(** Drop the account's secrecy tag and its read tag, if any (the tags
+    {!transfer_caps} grants over), from the calling agent's label,
+    auditing each drop under [context] (["federation.sync"] or
+    ["federation.migrate"]). Then deny with the residue unless no
+    secrecy is left: the check both exports pass before data leaves
+    the platform. *)
+
 val export_record :
   Platform.t -> Account.t -> file:string ->
   (Record.t * int, Os_error.t) result

@@ -53,7 +53,7 @@ type log = {
   mutable ticks : int array;
   mutable pids : int array;
   mutable events : event array;
-  mutable seq : int;  (* records since [create] or [clear] *)
+  mutable seq : int;  (* records since [create] *)
 }
 
 (* What a slot holds before its first record. *)
@@ -172,13 +172,6 @@ let query log ?pid ?kind ?seq_from ?seq_to ?(denials_only = false) () =
 
 let denials log = select log (fun _ event -> denies event)
 let for_pid log pid = select log (fun p _ -> p = pid)
-
-let clear log =
-  let fresh = create ~capacity:log.capacity in
-  log.ticks <- fresh.ticks;
-  log.pids <- fresh.pids;
-  log.events <- fresh.events;
-  log.seq <- 0
 
 let pp_subject fmt = function
   | No_subject -> ()

@@ -138,10 +138,6 @@ val denials : log -> entry list
 
 val for_pid : log -> int -> entry list
 
-val clear : log -> unit
-(** Empty the log and restart sequence numbers at 1, as if it were new:
-    it keeps no reference to a cleared event. *)
-
 val is_denial : entry -> bool
 
 val event_kind : event -> string

@@ -196,8 +196,9 @@ val set_preempt_hook : t -> (Proc.t -> unit) option -> unit
 
 val preempt_point : t -> Proc.t -> unit
 (** Fire the preemption hook, if installed. The syscall layer calls
-    this at dispatch entry; it is a no-op without a hook, and so inside
-    a gate child, which {!invoke_gate} runs with the hook set aside. *)
+    this at dispatch entry and in [consume], and nowhere else; it is a
+    no-op without a hook, and so inside a gate child, which
+    {!invoke_gate} runs with the hook set aside. *)
 
 val finish_proc : t -> Proc.t -> unit
 (** Mark a process [Exited], stamp {!Proc.t.finished_tick} and take it

@@ -142,26 +142,6 @@ let queue_depth t = t.len
 let quantum t = t.quantum
 let policy t = t.policy
 
-(* {2 Preemption-model introspection}
-
-   Constants the static interference analysis (lib/analysis) builds
-   its may-happen-in-parallel model from. They are facts about the
-   code in this file; the differential-soundness tests replay real
-   scheduler audit logs against a model derived from them, so if
-   either ever changes without the analysis following, the replay
-   fails. *)
-
-(* [hook] performs Yield only from inside [Kernel.preempt_point],
-   which syscall dispatch crosses exactly once, at entry — there are
-   no mid-syscall preemption points. *)
-let entry_preemption_only = true
-
-(* A gate child runs with the kernel's preemption hook set aside
-   ([Kernel.invoke_gate]) and under a pid different from [t.current];
-   both conditions independently keep [hook] from firing, so a gate
-   body can never be torn by this scheduler. *)
-let gate_children_atomic = true
-
 let stats t =
   {
     slices = t.st_slices;

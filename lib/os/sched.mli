@@ -15,12 +15,16 @@
     is what makes concurrency testable at all (and is the property the
     [sched] QCheck suite pins down).
 
-    {b Why preemption can't tear state.} Suspension happens only at
-    syscall-dispatch {e entry} ({!Kernel.preempt_point}): the kernel
-    holds no per-call state there, and every audit event is appended
-    the moment it happens, so a context switch can never interleave
-    one process's audit events or label checks into another's within
-    a syscall. Gate children run with the preemption hook set aside
+    {b Why preemption can't tear state.} Suspension happens only where
+    a syscall crosses {!Kernel.preempt_point}: at dispatch {e entry},
+    and in [Syscall.consume]. The kernel holds no per-call state
+    there, every check a syscall makes runs after the point, and every
+    audit event is appended the moment it happens, so a context switch
+    can never interleave one process's audit events or label checks
+    into another's within a syscall, nor leave a syscall deciding on
+    state from before its suspension (the [sched] suite changes that
+    state from inside the hook, op by op, and checks the decision
+    follows). Gate children run with the preemption hook set aside
     ({!Kernel.invoke_gate}) and are thus never preempted —
     privilege-transfer stays atomic. *)
 
@@ -65,26 +69,6 @@ val quantum : t -> int
 (** The tick budget per slice this scheduler was created with. *)
 
 val policy : t -> policy
-
-(** {2 Preemption-model introspection}
-
-    Facts about this scheduler's preemption placement, exported so the
-    static interference analysis (lib/analysis) derives its
-    may-happen-in-parallel model from the scheduler itself rather than
-    restating it. The differential-soundness suite replays real
-    scheduler audit logs against the derived model, so changing the
-    scheduler without updating these constants (or vice versa) turns
-    the replay red. *)
-
-val entry_preemption_only : bool
-(** [true]: the preempt hook fires only from {!Kernel.preempt_point},
-    which dispatch crosses exactly once at syscall entry — never in
-    the middle of a syscall body. *)
-
-val gate_children_atomic : bool
-(** [true]: a gate child runs with the preemption hook set aside
-    (and pid ≠ current), so neither it nor the enclosing privilege
-    transfer can be preempted. *)
 
 val stats : t -> stats
 (** Cumulative counters since {!create}. *)

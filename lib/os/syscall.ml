@@ -3,246 +3,6 @@ open W5_obs
 
 type 'a r = ('a, Os_error.t) result
 
-(* {1 Syscall footprints}
-
-   One declarative record per operation, stating which pieces of label
-   state the op reads and writes, which label facts its action safety
-   *depends* on, and which of those it *revalidates* inside the same
-   dispatch. The static interference analysis (lib/analysis) consumes
-   this table instead of re-deriving footprints from prose.
-
-   The table cannot drift from the implementation because the records
-   below are not merely documentation: [dispatch] takes the spec, uses
-   [op] for every metric/trace/histogram label, and consults
-   [entry_preempt] to decide whether to cross the scheduler's
-   preemption point. A test additionally drives every op once under a
-   counting preempt hook and checks the observed crossings against the
-   table. *)
-module Spec = struct
-  (* The unit of interference: one addressable piece of label state.
-     Subject_* cells are the calling process's own mutable label state;
-     Object_labels / Dir_summary belong to filesystem nodes; Peer_*
-     cells are another process's label state touched through IPC,
-     capability grants, or spawning. *)
-  type cell =
-    | Subject_secrecy
-    | Subject_integrity
-    | Subject_caps
-    | Object_labels
-    | Dir_summary
-    | Peer_labels
-    | Peer_caps
-
-  (* How a write combines with the cell's current value. [Merge] and
-     [Retract] are the semilattice directions (join with / remove from
-     the current tag set); [Assign] replaces wholesale. The
-     commutativity judgment in lib/analysis keys on this. *)
-  type write_kind = Merge | Assign | Retract
-
-  type t = {
-    op : string;  (** the dispatch/metric/audit name of the syscall *)
-    reads : cell list;  (** label state inspected by the op *)
-    writes : (cell * write_kind) list;  (** label state mutated *)
-    depends : cell list;
-        (** cells whose value the op's *action* safety rests on: a
-            flow-check input whose change could invalidate the check *)
-    revalidates : cell list;
-        (** the subset of [depends] re-checked inside this same atomic
-            dispatch — a dependency not revalidated is TOCTOU bait *)
-    entry_preempt : bool;
-        (** whether this op crosses [Kernel.preempt_point] at entry
-            (probe-only ops do not) *)
-  }
-
-  let cell_name = function
-    | Subject_secrecy -> "subject_secrecy"
-    | Subject_integrity -> "subject_integrity"
-    | Subject_caps -> "subject_caps"
-    | Object_labels -> "object_labels"
-    | Dir_summary -> "dir_summary"
-    | Peer_labels -> "peer_labels"
-    | Peer_caps -> "peer_caps"
-
-  let write_kind_name = function
-    | Merge -> "merge"
-    | Assign -> "assign"
-    | Retract -> "retract"
-
-  (* Smart constructor: unless stated otherwise an op revalidates
-     everything it depends on (all checks run inside the dispatch),
-     and every dispatched op crosses the entry preemption point. *)
-  let v ?(reads = []) ?(writes = []) ?(depends = []) ?revalidates
-      ?(entry_preempt = true) op =
-    let revalidates = Option.value revalidates ~default:depends in
-    { op; reads; writes; depends; revalidates; entry_preempt }
-
-  let label_absorb =
-    v "label.absorb"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps ]
-      ~writes:[ (Subject_secrecy, Merge); (Subject_integrity, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let tag_create = v "tag.create" ~writes:[ (Subject_caps, Merge) ]
-
-  let label_set =
-    v "label.set"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps ]
-      ~writes:[ (Subject_secrecy, Assign); (Subject_integrity, Assign) ]
-      ~depends:[ Subject_caps ]
-
-  let label_taint =
-    v "label.taint"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps ]
-      ~writes:[ (Subject_secrecy, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let label_declassify =
-    v "label.declassify" ~reads:[ Subject_caps ]
-      ~writes:[ (Subject_secrecy, Retract) ]
-      ~depends:[ Subject_caps ]
-
-  let label_endorse =
-    v "label.endorse" ~reads:[ Subject_caps ]
-      ~writes:[ (Subject_integrity, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let label_drop_integrity =
-    v "label.drop_integrity" ~writes:[ (Subject_integrity, Retract) ]
-
-  let cap_grant =
-    v "cap.grant"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps; Peer_labels ]
-      ~writes:[ (Peer_caps, Merge) ]
-      ~depends:[ Subject_caps; Peer_labels ]
-
-  let cap_drop = v "cap.drop" ~writes:[ (Subject_caps, Retract) ]
-
-  let fs_mkdir =
-    v "fs.mkdir"
-      ~reads:[ Subject_secrecy; Subject_integrity; Dir_summary ]
-      ~writes:[ (Object_labels, Assign); (Dir_summary, Merge) ]
-      ~depends:[ Dir_summary ]
-
-  let fs_create =
-    v "fs.create"
-      ~reads:[ Subject_secrecy; Subject_integrity; Dir_summary ]
-      ~writes:[ (Object_labels, Assign); (Dir_summary, Merge) ]
-      ~depends:[ Dir_summary ]
-
-  let fs_read =
-    v "fs.read"
-      ~reads:[ Subject_secrecy; Subject_integrity; Object_labels; Dir_summary ]
-      ~depends:[ Object_labels; Dir_summary ]
-
-  let fs_read_taint =
-    v "fs.read_taint"
-      ~reads:[ Subject_caps; Object_labels; Dir_summary ]
-      ~writes:[ (Subject_secrecy, Merge); (Subject_integrity, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let fs_write =
-    v "fs.write"
-      ~reads:[ Subject_secrecy; Subject_integrity; Object_labels ]
-      ~depends:[ Object_labels ]
-
-  let fs_append =
-    v "fs.append"
-      ~reads:[ Subject_secrecy; Subject_integrity; Object_labels ]
-      ~depends:[ Object_labels ]
-
-  let fs_unlink =
-    v "fs.unlink"
-      ~reads:[ Subject_secrecy; Subject_integrity; Object_labels; Dir_summary ]
-      ~writes:[ (Object_labels, Retract); (Dir_summary, Retract) ]
-      ~depends:[ Object_labels; Dir_summary ]
-
-  let fs_rename =
-    v "fs.rename"
-      ~reads:[ Subject_secrecy; Subject_integrity; Object_labels; Dir_summary ]
-      ~writes:[ (Dir_summary, Retract); (Dir_summary, Merge) ]
-      ~depends:[ Object_labels; Dir_summary ]
-
-  let fs_relabel =
-    v "fs.relabel"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps; Object_labels ]
-      ~writes:[ (Object_labels, Assign) ]
-      ~depends:[ Object_labels; Subject_caps ]
-
-  let fs_readdir =
-    v "fs.readdir"
-      ~reads:[ Subject_secrecy; Subject_integrity; Dir_summary ]
-      ~depends:[ Dir_summary ]
-
-  let fs_stat = v "fs.stat" ~reads:[ Object_labels ]
-  let fs_exists = v "fs.exists" ~reads:[ Dir_summary ] ~entry_preempt:false
-
-  let ipc_send =
-    v "ipc.send"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps; Peer_labels ]
-      ~depends:[ Subject_caps; Peer_labels ]
-
-  let ipc_recv =
-    v "ipc.recv"
-      ~reads:[ Subject_caps; Peer_labels ]
-      ~writes:
-        [ (Subject_secrecy, Merge);
-          (Subject_integrity, Merge);
-          (Subject_caps, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let proc_spawn =
-    v "proc.spawn"
-      ~reads:[ Subject_secrecy; Subject_integrity; Subject_caps ]
-      ~writes:[ (Peer_labels, Assign); (Peer_caps, Assign) ]
-      ~depends:[ Subject_caps ]
-
-  let gate_invoke =
-    v "gate.invoke"
-      ~reads:[ Subject_caps; Peer_labels ]
-      ~writes:[ (Subject_secrecy, Merge); (Subject_integrity, Merge) ]
-      ~depends:[ Subject_caps ]
-
-  let proc_respond =
-    v "proc.respond"
-      ~reads:[ Subject_secrecy; Subject_integrity ]
-      ~depends:[ Subject_secrecy; Subject_integrity ]
-
-  let proc_consume = v "proc.consume"
-  let debug_note = v "debug.note"
-
-  let all =
-    [ label_absorb;
-      tag_create;
-      label_set;
-      label_taint;
-      label_declassify;
-      label_endorse;
-      label_drop_integrity;
-      cap_grant;
-      cap_drop;
-      fs_mkdir;
-      fs_create;
-      fs_read;
-      fs_read_taint;
-      fs_write;
-      fs_append;
-      fs_unlink;
-      fs_rename;
-      fs_relabel;
-      fs_readdir;
-      fs_stat;
-      fs_exists;
-      ipc_send;
-      ipc_recv;
-      proc_spawn;
-      gate_invoke;
-      proc_respond;
-      debug_note;
-      proc_consume ]
-
-  let find op = List.find_opt (fun s -> s.op = op) all
-end
-
 let pid (ctx : Kernel.ctx) = ctx.proc.Proc.pid
 let my_labels (ctx : Kernel.ctx) = ctx.proc.Proc.labels
 let my_caps (ctx : Kernel.ctx) = ctx.proc.Proc.caps
@@ -283,13 +43,13 @@ let leave kernel ~traced op t0 =
    clock, so even the simplest syscall observes its own crossing;
    composite syscalls (gate invocations, tainting reads) observe every
    tick they drove. *)
-let dispatch ctx (spec : Spec.t) f =
+let dispatch ctx op f =
   let kernel = ctx.Kernel.kernel in
-  let op = spec.Spec.op in
-  (* Dispatch entry is the kernel-crossing boundary: the only point
-     where a scheduler may preempt the running process. Whether an op
-     crosses it is part of its declared footprint. *)
-  if spec.Spec.entry_preempt then Kernel.preempt_point kernel ctx.Kernel.proc;
+  (* Dispatch entry is the kernel-crossing boundary: one of the two
+     points where a scheduler may preempt the running process ([consume]
+     is the other). Every check in [f] runs after it, on the state the
+     process finds when it resumes. *)
+  Kernel.preempt_point kernel ctx.Kernel.proc;
   let tracer = Kernel.tracer kernel in
   let traced = Tracer.enabled tracer in
   let t0 = Kernel.tick kernel in
@@ -384,11 +144,11 @@ let absorb ctx ?(via = "absorb") ?(subject = Audit.No_subject)
 (* {1 Tags and labels} *)
 
 let absorb_labels ctx incoming =
-  dispatch ctx Spec.label_absorb @@ fun () ->
+  dispatch ctx "label.absorb" @@ fun () ->
   absorb ctx ~via:"label.absorb" incoming
 
 let create_tag ctx ?name ?restricted kind =
-  dispatch ctx Spec.tag_create @@ fun () ->
+  dispatch ctx "tag.create" @@ fun () ->
   let tag = Tag.fresh ?name ?restricted kind in
   ctx.Kernel.proc.Proc.caps <-
     Capability.Set.grant_dual tag ctx.Kernel.proc.Proc.caps;
@@ -434,7 +194,7 @@ let check_label_change_conv ~caps ~(old_labels : Flow.labels)
       else Ok ()
 
 let set_labels ctx new_labels =
-  dispatch ctx Spec.label_set @@ fun () ->
+  dispatch ctx "label.set" @@ fun () ->
   let proc = ctx.Kernel.proc in
   let decision =
     if not (enforcing ctx) then Ok ()
@@ -452,7 +212,7 @@ let set_labels ctx new_labels =
       Ok ()
 
 let add_taint ctx taint =
-  dispatch ctx Spec.label_taint @@ fun () ->
+  dispatch ctx "label.taint" @@ fun () ->
   (* self-tainting only raises secrecy; it says nothing about (and
      must not erode) the caller's integrity *)
   absorb ctx ~via:"label.taint"
@@ -460,7 +220,7 @@ let add_taint ctx taint =
        ~integrity:ctx.Kernel.proc.Proc.labels.Flow.integrity ())
 
 let declassify_self ctx ?(context = "self") tag =
-  dispatch ctx Spec.label_declassify @@ fun () ->
+  dispatch ctx "label.declassify" @@ fun () ->
   let proc = ctx.Kernel.proc in
   if enforcing ctx && not (Capability.Set.can_drop tag proc.Proc.caps) then
     Error (Os_error.Denied (Flow.Unauthorized_drop (Label.singleton tag)))
@@ -476,7 +236,7 @@ let declassify_self ctx ?(context = "self") tag =
   end
 
 let endorse_self ctx tag =
-  dispatch ctx Spec.label_endorse @@ fun () ->
+  dispatch ctx "label.endorse" @@ fun () ->
   let proc = ctx.Kernel.proc in
   if enforcing ctx && not (Capability.Set.can_add tag proc.Proc.caps) then
     Error (Os_error.Denied (Flow.Unauthorized_add (Label.singleton tag)))
@@ -490,7 +250,7 @@ let endorse_self ctx tag =
   end
 
 let drop_integrity ctx tag =
-  dispatch ctx Spec.label_drop_integrity @@ fun () ->
+  dispatch ctx "label.drop_integrity" @@ fun () ->
   let proc = ctx.Kernel.proc in
   proc.Proc.labels <-
     {
@@ -500,7 +260,7 @@ let drop_integrity ctx tag =
   Ok ()
 
 let grant_cap ctx ~to_ cap =
-  dispatch ctx Spec.cap_grant @@ fun () ->
+  dispatch ctx "cap.grant" @@ fun () ->
   let proc = ctx.Kernel.proc in
   if enforcing ctx && not (Capability.Set.mem cap proc.Proc.caps) then
     Error (Os_error.Permission "grant_cap: capability not owned")
@@ -518,7 +278,7 @@ let grant_cap ctx ~to_ cap =
             Ok ())
 
 let drop_cap ctx cap =
-  dispatch ctx Spec.cap_drop @@ fun () ->
+  dispatch ctx "cap.drop" @@ fun () ->
   let proc = ctx.Kernel.proc in
   proc.Proc.caps <- Capability.Set.remove cap proc.Proc.caps;
   Ok ()
@@ -528,7 +288,7 @@ let drop_cap ctx cap =
 let fs ctx = Kernel.fs ctx.Kernel.kernel
 
 let mkdir ctx path ~labels =
-  dispatch ctx Spec.fs_mkdir @@ fun () ->
+  dispatch ctx "fs.mkdir" @@ fun () ->
   charge ctx Resource.Files 1;
   let proc = ctx.Kernel.proc in
   match Fs.parent_labels (fs ctx) path with
@@ -554,7 +314,7 @@ let mkdir ctx path ~labels =
                   Ok ())))
 
 let create_file ctx path ~labels ~data =
-  dispatch ctx Spec.fs_create @@ fun () ->
+  dispatch ctx "fs.create" @@ fun () ->
   charge ctx Resource.Files 1;
   charge ctx Resource.Disk (String.length data);
   let proc = ctx.Kernel.proc in
@@ -581,7 +341,7 @@ let create_file ctx path ~labels ~data =
                   Ok ())))
 
 let read_file ctx path =
-  dispatch ctx Spec.fs_read @@ fun () ->
+  dispatch ctx "fs.read" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Fs.read (fs ctx) path with
   | Error _ as e -> e
@@ -606,7 +366,7 @@ let read_file ctx path =
               Ok data))
 
 let read_file_taint ctx path =
-  dispatch ctx Spec.fs_read_taint @@ fun () ->
+  dispatch ctx "fs.read_taint" @@ fun () ->
   match Fs.read (fs ctx) path with
   | Error _ as e -> e
   | Ok (data, labels) -> (
@@ -635,21 +395,21 @@ let write_check ctx ~op path =
         ~dst:st.Fs.labels
 
 let write_file ctx path ~data =
-  dispatch ctx Spec.fs_write @@ fun () ->
+  dispatch ctx "fs.write" @@ fun () ->
   charge ctx Resource.Disk (String.length data);
   match write_check ctx ~op:"fs.write" path with
   | Error _ as e -> e
   | Ok () -> Fs.write (fs ctx) path ~data
 
 let append_file ctx path ~data =
-  dispatch ctx Spec.fs_append @@ fun () ->
+  dispatch ctx "fs.append" @@ fun () ->
   charge ctx Resource.Disk (String.length data);
   match write_check ctx ~op:"fs.append" path with
   | Error _ as e -> e
   | Ok () -> Fs.append (fs ctx) path ~data
 
 let unlink ctx path =
-  dispatch ctx Spec.fs_unlink @@ fun () ->
+  dispatch ctx "fs.unlink" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Fs.parent_labels (fs ctx) path with
   | Error _ as e -> e
@@ -667,7 +427,7 @@ let unlink ctx path =
           | Ok () -> Fs.unlink (fs ctx) path))
 
 let rename ctx ~src ~dst =
-  dispatch ctx Spec.fs_rename @@ fun () ->
+  dispatch ctx "fs.rename" @@ fun () ->
   let proc = ctx.Kernel.proc in
   let parent_check label path =
     match Fs.parent_labels (fs ctx) path with
@@ -687,7 +447,7 @@ let rename ctx ~src ~dst =
           | Ok () -> Fs.rename (fs ctx) ~src ~dst))
 
 let set_file_labels ctx path ~labels =
-  dispatch ctx Spec.fs_relabel @@ fun () ->
+  dispatch ctx "fs.relabel" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Fs.stat (fs ctx) path with
   | Error _ as e -> e
@@ -721,7 +481,7 @@ let set_file_labels ctx path ~labels =
                   Ok ())))
 
 let readdir ctx path =
-  dispatch ctx Spec.fs_readdir @@ fun () ->
+  dispatch ctx "fs.readdir" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Fs.readdir (fs ctx) path with
   | Error _ as e -> e
@@ -737,21 +497,21 @@ let readdir ctx path =
       | Ok () -> Ok names)
 
 let stat ctx path =
-  dispatch ctx Spec.fs_stat @@ fun () ->
+  dispatch ctx "fs.stat" @@ fun () ->
   Fs.stat (fs ctx) path
 
 let file_exists ctx path =
-  (* probe only: charged but does not advance the logical clock, and —
-     as Spec.fs_exists declares — never crosses the preemption point *)
+  (* probe only: charged but does not advance the logical clock, and
+     never crosses the preemption point *)
   charge ctx Resource.Cpu 1;
   Metrics.inc (Kernel.meters ctx.Kernel.kernel).Kernel.syscalls
-    ~labels:[ ("op", Spec.fs_exists.Spec.op) ];
+    ~labels:[ ("op", "fs.exists") ];
   Fs.exists (fs ctx) path
 
 (* {1 IPC} *)
 
 let send ctx ~to_ ?(grant = Capability.Set.empty) ?(use_caps = false) body =
-  dispatch ctx Spec.ipc_send @@ fun () ->
+  dispatch ctx "ipc.send" @@ fun () ->
   charge ctx Resource.Messages 1;
   let proc = ctx.Kernel.proc in
   if
@@ -801,7 +561,7 @@ let send ctx ~to_ ?(grant = Capability.Set.empty) ?(use_caps = false) body =
             Ok ())
 
 let recv ctx =
-  dispatch ctx Spec.ipc_recv @@ fun () ->
+  dispatch ctx "ipc.recv" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Queue.take_opt proc.Proc.mailbox with
   | None -> Ok None
@@ -822,14 +582,14 @@ let recv ctx =
 
 let spawn ctx ~name ?labels ?(caps = Capability.Set.empty)
     ?(limits = Resource.default_app_limits) body =
-  dispatch ctx Spec.proc_spawn @@ fun () ->
+  dispatch ctx "proc.spawn" @@ fun () ->
   let proc = ctx.Kernel.proc in
   let labels = Option.value labels ~default:proc.Proc.labels in
   Kernel.spawn ctx.Kernel.kernel ~parent:proc ~name ~owner:proc.Proc.owner
     ~labels ~caps ~limits body
 
 let invoke_gate ctx name ~arg =
-  dispatch ctx Spec.gate_invoke @@ fun () ->
+  dispatch ctx "gate.invoke" @@ fun () ->
   let proc = ctx.Kernel.proc in
   match Kernel.invoke_gate ctx.Kernel.kernel ~caller:proc ~name ~arg with
   | Error _ as e -> e
@@ -848,21 +608,20 @@ let invoke_gate ctx name ~arg =
               Ok (Some (data, labels))))
 
 let respond ctx data =
-  dispatch ctx Spec.proc_respond @@ fun () ->
+  dispatch ctx "proc.respond" @@ fun () ->
   charge ctx Resource.Memory (String.length data);
   let proc = ctx.Kernel.proc in
   proc.Proc.response <- Some (data, proc.Proc.labels);
   Ok ()
 
 let consume ctx ~cpu =
-  (* a quota charge without a dispatched body: still a declared
-     preemption point (Spec.proc_consume.entry_preempt) *)
-  if Spec.proc_consume.Spec.entry_preempt then
-    Kernel.preempt_point ctx.Kernel.kernel ctx.Kernel.proc;
-  enter ctx ~cpu Spec.proc_consume.Spec.op;
+  (* a quota charge without a dispatched body: still a preemption
+     point *)
+  Kernel.preempt_point ctx.Kernel.kernel ctx.Kernel.proc;
+  enter ctx ~cpu "proc.consume";
   Ok ()
 
 let debug_note ctx note =
-  dispatch ctx Spec.debug_note @@ fun () ->
+  dispatch ctx "debug.note" @@ fun () ->
   Kernel.record ctx.Kernel.kernel ~pid:(pid ctx) (Audit.App_note note);
   Ok ()

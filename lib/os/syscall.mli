@@ -25,89 +25,6 @@ open W5_difc
 
 type 'a r = ('a, Os_error.t) result
 
-(** {1 Syscall footprints}
-
-    One declarative record per operation, naming which label-state
-    cells the op reads, writes (and how the write combines), which
-    cells its action safety depends on, which of those it revalidates
-    inside the same atomic dispatch, and whether it crosses the
-    scheduler's entry preemption point. The static interference
-    analysis (lib/analysis) consumes this table; it cannot drift from
-    the implementation because the dispatcher itself is driven by the
-    same records (op naming and preemption placement), and a test
-    drives every op under a counting preempt hook to compare observed
-    crossings against [entry_preempt]. *)
-module Spec : sig
-  (** One addressable piece of label state. [Subject_*] cells belong
-      to the calling process, [Object_labels]/[Dir_summary] to
-      filesystem nodes, [Peer_*] to another process touched through
-      IPC, grants, or spawning. *)
-  type cell =
-    | Subject_secrecy
-    | Subject_integrity
-    | Subject_caps
-    | Object_labels
-    | Dir_summary
-    | Peer_labels
-    | Peer_caps
-
-  (** How a write combines with the current cell value: [Merge] joins
-      into it, [Retract] removes from it (the two semilattice
-      directions — these commute with themselves), [Assign] replaces
-      wholesale (commutes with nothing). *)
-  type write_kind = Merge | Assign | Retract
-
-  type t = {
-    op : string;
-    reads : cell list;
-    writes : (cell * write_kind) list;
-    depends : cell list;
-        (** cells whose value the op's action safety rests on *)
-    revalidates : cell list;
-        (** the subset of [depends] re-checked inside the same atomic
-            dispatch; a dependency not revalidated is TOCTOU bait *)
-    entry_preempt : bool;
-  }
-
-  val cell_name : cell -> string
-  val write_kind_name : write_kind -> string
-
-  val all : t list
-  (** Every operation the syscall layer dispatches, exactly once. *)
-
-  val find : string -> t option
-  (** Look up a spec by its [op] name. *)
-
-  val label_absorb : t
-  val tag_create : t
-  val label_set : t
-  val label_taint : t
-  val label_declassify : t
-  val label_endorse : t
-  val label_drop_integrity : t
-  val cap_grant : t
-  val cap_drop : t
-  val fs_mkdir : t
-  val fs_create : t
-  val fs_read : t
-  val fs_read_taint : t
-  val fs_write : t
-  val fs_append : t
-  val fs_unlink : t
-  val fs_rename : t
-  val fs_relabel : t
-  val fs_readdir : t
-  val fs_stat : t
-  val fs_exists : t
-  val ipc_send : t
-  val ipc_recv : t
-  val proc_spawn : t
-  val gate_invoke : t
-  val proc_respond : t
-  val proc_consume : t
-  val debug_note : t
-end
-
 (** {1 Introspection} *)
 
 val pid : Kernel.ctx -> int

@@ -165,9 +165,8 @@ let store_image platform =
 
 let fingerprint platform =
   let buf = Buffer.create 65536 in
-  List.iter
-    (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" W5_os.Audit.pp_entry e))
-    (W5_os.Audit.entries (W5_os.Kernel.audit (Platform.kernel platform)));
+  W5_os.Audit.iter (W5_os.Kernel.audit (Platform.kernel platform)) ~f:(fun e ->
+      Buffer.add_string buf (Format.asprintf "%a\n" W5_os.Audit.pp_entry e));
   walk_fs platform (fun path data labels ->
       Buffer.add_string buf
         (Format.asprintf "%s [%a] %s\n" path W5_difc.Flow.pp_labels labels data));

@@ -17,10 +17,6 @@ let record t ~tick ~pid event =
   t.seq <- t.seq + 1;
   t.recorded <- { Audit.seq = t.seq; tick; pid; event } :: t.recorded
 
-let clear t =
-  t.seq <- 0;
-  t.recorded <- []
-
 (* The newest [capacity] records, oldest first. *)
 let entries t = List.rev (List.filteri (fun i _ -> i < t.capacity) t.recorded)
 let length t = List.length (entries t)

@@ -1,8 +1,8 @@
-(* Tests for lib/analysis: finding construction, the golden vet
-   report, the shared lattice laws between the runtime Label and the
-   analyzer's abstract domain, and the differential soundness property
-   (static must over-approximate dynamic) over randomized platform
-   configurations. *)
+(* Tests for lib/analysis: finding construction, label-safe finding
+   metrics, the golden vet report, the shared lattice laws between the
+   runtime Label and the analyzer's abstract domain, and the
+   differential soundness property (static must over-approximate
+   dynamic) over randomized platform configurations. *)
 
 open W5_difc
 open W5_platform
@@ -213,6 +213,28 @@ let test_severity_ranking () =
   let clean = Vet.report (Static.capture (Platform.create ())) in
   check int_c "enforcing empty platform is clean" 0 (Vet.exit_code clean)
 
+(* Finding counts leave as gauges labelled by severity alone: the
+   label values are a closed set, so no user, tag or gate name can
+   ride along into the exposition. *)
+let test_metrics_label_safe () =
+  let society = W5_workload.Populate.build_showcase ~seed:11 ~users:6 () in
+  let st = Static.capture society.W5_workload.Populate.platform in
+  let registry = W5_obs.Metrics.create () in
+  Vet.export_metrics registry (Vet.report st);
+  let text = W5_obs.Exposition.prometheus registry in
+  let contains = W5_http.Substring.contains text in
+  check bool_c "vet gauge exported" true (contains "w5_vet_findings_total");
+  check bool_c "severity label present" true (contains "severity=\"high\"");
+  List.iter
+    (fun user ->
+      check bool_c ("no user byte leaks: " ^ user) false (contains user))
+    society.W5_workload.Populate.users;
+  List.iter
+    (fun (t : Static.tag_info) ->
+      check bool_c ("no tag byte leaks: " ^ t.Static.tag_name) false
+        (contains t.Static.tag_name))
+    (Static.tags st)
+
 (* ---- the showcase platform: clean golden report ---- *)
 
 let showcase = lazy (W5_workload.Populate.build_showcase ())
@@ -422,6 +444,8 @@ let suite =
       test_closed_cycle_and_dangling;
     Alcotest.test_case "severity ranking and exit codes" `Quick
       test_severity_ranking;
+    Alcotest.test_case "finding metrics label-safe" `Quick
+      test_metrics_label_safe;
     Alcotest.test_case "showcase platform is clean" `Quick test_showcase_clean;
     Alcotest.test_case "golden report byte-for-byte" `Quick test_golden_report;
     Alcotest.test_case "showcase runtime soundness" `Slow

@@ -1,41 +1,29 @@
-(* Tests for the preemption-aware interference analysis: the shared
-   severity/exit-code contract, the declarative syscall footprint
-   table (pinned against the implementation's actual preemption
-   behavior so the two cannot drift), the label-update commutativity
-   law, the MHP model checked against the exhaustive interleaving
-   oracle, the race/TOCTOU detector on clean and seeded-broken
-   models, and the differential soundness replay over seeded
-   scheduler soak runs. *)
+(* What a process can change under another one, tested on the kernel.
+
+   The scheduler may suspend a process only where a syscall crosses
+   [Kernel.preempt_point]: at dispatch entry, and in [consume]. So
+   whatever changes while the caller is suspended there must be what
+   the syscall then decides on. The spec table below has one entry per
+   op: it arranges a state, arms a one-shot preempt hook and runs the
+   op. The hook disarms itself before it mutates, so the mutation's own
+   syscalls do not fire it again. Every spec runs twice, without and
+   with the mutation, and names both outcomes: a syscall that checked
+   before its preemption point would report the unmutated outcome both
+   times. Then the same rule under the seeded scheduler, with a
+   relabel racing readers and writers; a gate child (and a gate it
+   calls) runs with the hook set aside; and the severity exit contract
+   that `w5 vet` and `w5 health` share. *)
 
 open W5_difc
 open W5_os
 open W5_analysis
 
 let check = Alcotest.check
-let bool_c = Alcotest.bool
 let int_c = Alcotest.int
+let bool_c = Alcotest.bool
 let string_c = Alcotest.string
 
-let fail_err e = Alcotest.failf "unexpected error: %s" (Os_error.to_string e)
-let ok = function Ok v -> v | Error e -> fail_err e
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
-(* Run [f] inside a fresh synchronous process on [kernel]. *)
-let run kernel ?(labels = Flow.bottom) ?(caps = Capability.Set.empty) ~name f =
-  let proc =
-    ok
-      (Kernel.spawn kernel ~name
-         ~owner:(Kernel.kernel_principal kernel)
-         ~labels ~caps ~limits:Resource.unlimited
-         (fun ctx -> f ctx))
-  in
-  Kernel.run_proc kernel proc
-
-(* ---- satellite: the shared severity → exit-code contract ---- *)
+(* ---- the severity → exit-code contract ---- *)
 
 let test_exit_contract () =
   check int_c "clean" 0 (Severity.exit_code None);
@@ -56,410 +44,455 @@ let test_exit_contract () =
     (Vet.exit_code (Vet.report (Static.capture (W5_platform.Platform.create ())))
      >= 0)
 
-(* ---- the footprint table: structural pins ---- *)
+(* ---- every syscall decides after its preemption point ---- *)
 
-let spec_op (s : Syscall.Spec.t) = s.Syscall.Spec.op
+type spec = {
+  op : string;  (* the name the syscall is dispatched and metered under *)
+  crosses : bool;  (* false only for the fs.exists probe *)
+  arrange : Kernel.t -> Kernel.ctx -> (unit -> unit) * (unit -> string);
+      (* runs before the hook is armed; returns the mutation and the op
+         under test, which renders its decision *)
+  unmutated : string;
+  mutated : string;
+}
+
+let must what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ Os_error.to_string e)
+
+let verdict = function
+  | Ok _ -> "ok"
+  | Error (Os_error.Denied _) -> "denied"
+  | Error e -> Os_error.to_string e
+
+let carries tag (labels : Flow.labels) =
+  if Label.mem tag labels.Flow.secrecy then "tagged" else "untagged"
+
+let secret tag = Flow.make ~secrecy:(Label.singleton tag) ()
+
+let spawn_peer kernel =
+  let peer =
+    must "spawn peer"
+      (Kernel.spawn kernel ~name:"peer"
+         ~owner:(Principal.make Principal.Developer "peer")
+         ~labels:Flow.bottom ~caps:Capability.Set.empty
+         ~limits:Resource.default_app_limits ignore)
+  in
+  peer.Proc.pid
+
+let new_file ctx path =
+  must "create" (Syscall.create_file ctx path ~labels:Flow.bottom ~data:"x")
+
+(* The caller taints itself with a fresh secrecy tag. *)
+let taint_self op ?(unmutated = "ok") ?(mutated = "denied") call =
+  let arrange kernel ctx =
+    let tag = Tag.fresh ~name:"preempt.taint" Tag.Secrecy in
+    ( (fun () -> must "taint" (Syscall.add_taint ctx (Label.singleton tag))),
+      call kernel ctx tag )
+  in
+  { op; crosses = true; arrange; unmutated; mutated }
+
+(* The caller drops the capability [call] names. *)
+let drop_cap op call =
+  let arrange kernel ctx =
+    let cap, run = call kernel ctx in
+    ((fun () -> must "drop" (Syscall.drop_cap ctx cap)), run)
+  in
+  { op; crosses = true; arrange; unmutated = "ok"; mutated = "denied" }
+
+(* Another writer relabels the object at the path [call] names. *)
+let relabel op ?(unmutated = "ok") ?(mutated = "denied") call =
+  let arrange kernel ctx =
+    let tag = Tag.fresh ~name:"preempt.relabel" Tag.Secrecy in
+    let path, run = call ctx tag in
+    ( (fun () ->
+        must "relabel"
+          (Fs.set_labels (Kernel.fs kernel) path ~labels:(secret tag))),
+      run )
+  in
+  { op; crosses = true; arrange; unmutated; mutated }
+
+(* No decision a mutation could flip: the hook still fires once. *)
+let steady op call =
+  let arrange kernel ctx = (ignore, call kernel ctx) in
+  { op; crosses = true; arrange; unmutated = "ok"; mutated = "ok" }
+
+let plus tag = Capability.make tag Capability.Plus
+let minus tag = Capability.make tag Capability.Minus
+
+let specs =
+  [
+    taint_self "fs.mkdir" (fun _ ctx _ () ->
+        verdict (Syscall.mkdir ctx "/d" ~labels:Flow.bottom));
+    taint_self "fs.create" (fun _ ctx _ () ->
+        verdict (Syscall.create_file ctx "/f" ~labels:Flow.bottom ~data:"x"));
+    taint_self "fs.write" (fun _ ctx _ ->
+        new_file ctx "/f";
+        fun () -> verdict (Syscall.write_file ctx "/f" ~data:"y"));
+    taint_self "fs.append" (fun _ ctx _ ->
+        new_file ctx "/f";
+        fun () -> verdict (Syscall.append_file ctx "/f" ~data:"y"));
+    taint_self "fs.unlink" (fun _ ctx _ ->
+        new_file ctx "/f";
+        fun () -> verdict (Syscall.unlink ctx "/f"));
+    taint_self "fs.rename" (fun _ ctx _ ->
+        new_file ctx "/f";
+        fun () -> verdict (Syscall.rename ctx ~src:"/f" ~dst:"/g"));
+    taint_self "fs.relabel" (fun _ ctx _ ->
+        new_file ctx "/f";
+        fun () ->
+          verdict (Syscall.set_file_labels ctx "/f" ~labels:Flow.bottom));
+    taint_self "ipc.send" (fun kernel ctx _ ->
+        let peer = spawn_peer kernel in
+        fun () -> verdict (Syscall.send ctx ~to_:peer "hi"));
+    taint_self "cap.grant" (fun kernel ctx _ ->
+        let peer = spawn_peer kernel in
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Secrecy) in
+        fun () -> verdict (Syscall.grant_cap ctx ~to_:peer (plus tag)));
+    (* the response, the child and the gate's answer carry the label
+       the caller has when the op decides *)
+    taint_self "proc.respond" ~unmutated:"untagged" ~mutated:"tagged"
+      (fun _ ctx tag () ->
+        must "respond" (Syscall.respond ctx "r");
+        match ctx.Kernel.proc.Proc.response with
+        | Some (_, labels) -> carries tag labels
+        | None -> "no response");
+    taint_self "proc.spawn" ~unmutated:"untagged" ~mutated:"tagged"
+      (fun _ ctx tag () ->
+        let child = must "spawn" (Syscall.spawn ctx ~name:"child" ignore) in
+        carries tag child.Proc.labels);
+    taint_self "gate.invoke" ~unmutated:"untagged" ~mutated:"tagged"
+      (fun kernel ctx tag ->
+        Kernel.register_gate kernel ~name:"echo"
+          ~owner:(Kernel.kernel_principal kernel)
+          ~caps:Capability.Set.empty
+          ~entry:(fun ctx arg -> ignore (Syscall.respond ctx arg));
+        fun () ->
+          match must "invoke" (Syscall.invoke_gate ctx "echo" ~arg:"x") with
+          | Some (_, labels) -> carries tag labels
+          | None -> "no response");
+    drop_cap "label.declassify" (fun _ ctx ->
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Secrecy) in
+        must "taint" (Syscall.add_taint ctx (Label.singleton tag));
+        (minus tag, fun () -> verdict (Syscall.declassify_self ctx tag)));
+    drop_cap "label.endorse" (fun _ ctx ->
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Integrity) in
+        (plus tag, fun () -> verdict (Syscall.endorse_self ctx tag)));
+    drop_cap "label.set" (fun _ ctx ->
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Secrecy) in
+        must "taint" (Syscall.add_taint ctx (Label.singleton tag));
+        (minus tag, fun () -> verdict (Syscall.set_labels ctx Flow.bottom)));
+    drop_cap "label.absorb" (fun _ ctx ->
+        let tag =
+          must "tag" (Syscall.create_tag ctx ~restricted:true Tag.Secrecy)
+        in
+        (plus tag, fun () -> verdict (Syscall.absorb_labels ctx (secret tag))));
+    drop_cap "label.taint" (fun _ ctx ->
+        let tag =
+          must "tag" (Syscall.create_tag ctx ~restricted:true Tag.Secrecy)
+        in
+        ( plus tag,
+          fun () -> verdict (Syscall.add_taint ctx (Label.singleton tag)) ));
+    (* a message the caller sent itself while it held the tag; it has
+       declassified the tag since, so receiving takes it back in *)
+    drop_cap "ipc.recv" (fun _ ctx ->
+        let tag =
+          must "tag" (Syscall.create_tag ctx ~restricted:true Tag.Secrecy)
+        in
+        must "taint" (Syscall.add_taint ctx (Label.singleton tag));
+        must "send" (Syscall.send ctx ~to_:(Syscall.pid ctx) "m");
+        must "declassify" (Syscall.declassify_self ctx tag);
+        (plus tag, fun () -> verdict (Syscall.recv ctx)));
+    relabel "fs.read" (fun ctx _ ->
+        new_file ctx "/f";
+        ("/f", fun () -> verdict (Syscall.read_file ctx "/f")));
+    relabel "fs.readdir" (fun ctx _ ->
+        must "mkdir" (Syscall.mkdir ctx "/d" ~labels:Flow.bottom);
+        ("/d", fun () -> verdict (Syscall.readdir ctx "/d")));
+    relabel "fs.read_taint" ~unmutated:"untagged" ~mutated:"tagged"
+      (fun ctx tag ->
+        new_file ctx "/f";
+        ( "/f",
+          fun () ->
+            ignore (must "read" (Syscall.read_file_taint ctx "/f"));
+            carries tag (Syscall.my_labels ctx) ));
+    relabel "fs.stat" ~unmutated:"untagged" ~mutated:"tagged" (fun ctx tag ->
+        new_file ctx "/f";
+        ( "/f",
+          fun () ->
+            let st = must "stat" (Syscall.stat ctx "/f") in
+            carries tag st.Fs.labels ));
+    steady "tag.create" (fun _ ctx () ->
+        verdict (Syscall.create_tag ctx Tag.Secrecy));
+    steady "cap.drop" (fun _ ctx ->
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Secrecy) in
+        fun () -> verdict (Syscall.drop_cap ctx (plus tag)));
+    steady "label.drop_integrity" (fun _ ctx ->
+        let tag = must "tag" (Syscall.create_tag ctx Tag.Integrity) in
+        must "endorse" (Syscall.endorse_self ctx tag);
+        fun () -> verdict (Syscall.drop_integrity ctx tag));
+    steady "debug.note" (fun _ ctx () -> verdict (Syscall.debug_note ctx "n"));
+    steady "proc.consume" (fun _ ctx () ->
+        verdict (Syscall.consume ctx ~cpu:1));
+    (* the probe never reaches the hook, so the unlink that would flip
+       its answer never happens *)
+    {
+      op = "fs.exists";
+      crosses = false;
+      arrange =
+        (fun kernel ctx ->
+          new_file ctx "/f";
+          ( (fun () -> must "unlink" (Fs.unlink (Kernel.fs kernel) "/f")),
+            fun () -> string_of_bool (Syscall.file_exists ctx "/f") ));
+      unmutated = "true";
+      mutated = "true";
+    };
+  ]
+
+(* One run of a spec: its outcome, how often the hook fired, and how
+   many times the op was dispatched under the spec's name. *)
+let run_spec spec ~mutate =
+  let kernel = Kernel.create () in
+  let dispatched () =
+    W5_obs.Metrics.value ~labels:[ ("op", spec.op) ]
+      (Kernel.meters kernel).Kernel.syscalls
+  in
+  let fires = ref 0 in
+  match
+    Kernel.exec kernel ~name:"caller"
+      ~owner:(Principal.make Principal.Developer "dev")
+      ~labels:Flow.bottom ~caps:Capability.Set.empty
+      ~limits:Resource.unlimited
+      (fun ctx ->
+        let mutation, call = spec.arrange kernel ctx in
+        let before = dispatched () in
+        Kernel.set_preempt_hook kernel
+          (Some
+             (fun _ ->
+               incr fires;
+               Kernel.set_preempt_hook kernel None;
+               if mutate then mutation ()));
+        let outcome = call () in
+        Kernel.set_preempt_hook kernel None;
+        Ok (outcome, dispatched () - before))
+  with
+  | Ok (outcome, calls) -> (outcome, !fires, calls)
+  | Error e -> Alcotest.failf "%s: %s" spec.op (Os_error.to_string e)
+
+
+(* Each spec run without and with its mutation, once for all the tests
+   that read the outcomes. *)
+let runs =
+  lazy
+    (List.map
+       (fun spec ->
+         (spec, run_spec spec ~mutate:false, run_spec spec ~mutate:true))
+       specs)
+
+let each_run f =
+  List.iter
+    (fun (spec, plain, mutated) ->
+      f spec "unmutated" plain;
+      f spec "mutated" mutated)
+    (Lazy.force runs)
 
 let test_spec_table_unique_and_findable () =
-  let names = List.map spec_op Syscall.Spec.all in
-  check int_c "every op appears once"
-    (List.length names)
-    (List.length (List.sort_uniq String.compare names));
-  List.iter
-    (fun s ->
-      match Syscall.Spec.find (spec_op s) with
-      | Some s' -> check string_c "find roundtrips" (spec_op s) (spec_op s')
-      | None -> Alcotest.failf "Spec.find %s returned None" (spec_op s))
-    Syscall.Spec.all;
-  check bool_c "unknown op" true (Syscall.Spec.find "fs.frobnicate" = None)
+  let ops = List.map (fun spec -> spec.op) specs in
+  check int_c "every op appears once" (List.length ops)
+    (List.length (List.sort_uniq String.compare ops));
+  check int_c "the 27 ops that cross the point, and fs.exists" 28
+    (List.length specs);
+  each_run (fun spec what (_, _, calls) ->
+      check int_c
+        (Printf.sprintf "%s (%s): dispatched once under its name" spec.op what)
+        1 calls)
 
-(* The invariant the whole analysis leans on: in the real table every
-   op revalidates its declared dependencies inside its own (atomic)
-   dispatch, so the shipped kernel has no stale-check window. The
-   seeded TOCTOU fixture works precisely by breaking this. *)
-let test_spec_revalidates_dependencies () =
-  List.iter
-    (fun s ->
-      check bool_c (spec_op s ^ " revalidates what it depends on") true
-        (List.for_all
-           (fun c -> List.mem c s.Syscall.Spec.revalidates)
-           s.Syscall.Spec.depends))
-    Syscall.Spec.all
+let test_specs_revalidate () =
+  each_run (fun spec what (outcome, _, _) ->
+      check string_c
+        (Printf.sprintf "%s (%s): outcome" spec.op what)
+        (if what = "mutated" then spec.mutated else spec.unmutated)
+        outcome)
 
 let test_spec_preempt_flags () =
-  let no_preempt =
-    List.filter (fun s -> not s.Syscall.Spec.entry_preempt) Syscall.Spec.all
-  in
   check
-    Alcotest.(list string)
+    (Alcotest.list Alcotest.string)
     "fs.exists is the only op without an entry preemption point"
     [ "fs.exists" ]
-    (List.map spec_op no_preempt)
+    (List.filter_map
+       (fun spec -> if spec.crosses then None else Some spec.op)
+       specs)
 
-(* ---- the footprint table vs. the implementation ---- *)
-
-(* Drive real syscalls with a counting preemption hook installed and
-   require the hook to fire exactly when the spec's [entry_preempt]
-   says it does. This is the anti-drift test: dispatch consumes the
-   spec record, and this pins the observable consequence. *)
 let test_preempt_point_matches_spec () =
-  let kernel = Kernel.create () in
-  let fires = ref 0 in
-  Kernel.set_preempt_hook kernel (Some (fun _ -> incr fires));
-  let observed = ref [] in
-  let step op f =
-    let before = !fires in
-    f ();
-    observed := (op, !fires - before) :: !observed
-  in
-  run kernel ~name:"probe" (fun ctx ->
-      step "fs.mkdir" (fun () ->
-          ok (Syscall.mkdir ctx "/d" ~labels:Flow.bottom));
-      step "fs.create" (fun () ->
-          ok (Syscall.create_file ctx "/d/f" ~labels:Flow.bottom ~data:"x"));
-      step "fs.stat" (fun () -> ignore (ok (Syscall.stat ctx "/d/f")));
-      step "fs.exists" (fun () -> ignore (Syscall.file_exists ctx "/d/f"));
-      step "fs.read" (fun () -> ignore (ok (Syscall.read_file ctx "/d/f")));
-      step "fs.readdir" (fun () -> ignore (ok (Syscall.readdir ctx "/d")));
-      step "fs.append" (fun () ->
-          ok (Syscall.append_file ctx "/d/f" ~data:"y"));
-      step "fs.unlink" (fun () -> ok (Syscall.unlink ctx "/d/f")));
-  check bool_c "probe exercised ops" true (List.length !observed = 8);
-  List.iter
-    (fun (op, fired) ->
-      let spec =
-        match Syscall.Spec.find op with
-        | Some s -> s
-        | None -> Alcotest.failf "no spec for %s" op
-      in
-      check int_c (op ^ " preemption fires iff spec says so")
-        (if spec.Syscall.Spec.entry_preempt then 1 else 0)
-        fired)
-    !observed
+  each_run (fun spec what (_, fires, _) ->
+      check int_c
+        (Printf.sprintf "%s (%s): hook fires iff the spec crosses" spec.op what)
+        (if spec.crosses then 1 else 0)
+        fires)
 
-(* Gate children run nested inside the caller's dispatch: exactly one
-   preemption point (the gate.invoke entry) no matter how many
-   syscalls the gate body performs — the atomicity the MHP model
-   encodes as [Sched.gate_children_atomic]. *)
+(* ---- gate children ---- *)
+
+(* A gate child runs with the preempt hook set aside, and a gate that
+   child invokes puts back the hook it found, which is none: the outer
+   child's syscalls after the nested call stay shielded too. Only the
+   caller's gate.invoke entry reaches the hook. *)
 let test_gate_children_atomic_in_kernel () =
   let kernel = Kernel.create () in
-  Kernel.register_gate kernel ~name:"probe-gate"
-    ~owner:(Kernel.kernel_principal kernel)
-    ~caps:Capability.Set.empty
-    ~entry:(fun ctx arg ->
-      ok (Syscall.mkdir ctx "/gate-made" ~labels:Flow.bottom);
-      ignore (ok (Syscall.stat ctx "/gate-made"));
+  let gate name entry =
+    Kernel.register_gate kernel ~name
+      ~owner:(Kernel.kernel_principal kernel)
+      ~caps:Capability.Set.empty ~entry
+  in
+  let made path ctx = ignore (Syscall.mkdir ctx path ~labels:Flow.bottom) in
+  gate "inner" (fun ctx arg ->
+      made "/inner-made" ctx;
+      ignore (Syscall.stat ctx "/inner-made");
+      ignore (Syscall.respond ctx arg));
+  gate "outer" (fun ctx arg ->
+      made "/outer-made" ctx;
+      ignore (Syscall.invoke_gate ctx "inner" ~arg);
+      made "/outer-after" ctx;
       ignore (Syscall.respond ctx arg));
   let fires = ref 0 in
   Kernel.set_preempt_hook kernel (Some (fun _ -> incr fires));
-  run kernel ~name:"caller" (fun ctx ->
-      ignore (ok (Syscall.invoke_gate ctx "probe-gate" ~arg:"x")));
-  check int_c "one fire at gate.invoke entry, body shielded" 1 !fires;
-  check bool_c "scheduler exports the same fact" true
-    Sched.gate_children_atomic
-
-(* ---- label-update commutativity: syntactic judgment vs. semantics ---- *)
-
-let update_tags =
-  lazy
-    (Array.init 6 (fun i ->
-         Tag.fresh
-           ~name:(Printf.sprintf "ifr.t%d" i)
-           (if i mod 2 = 0 then Tag.Secrecy else Tag.Integrity)))
-
-let gen_label =
-  QCheck.Gen.(
-    map
-      (fun picks ->
-        let tags = Lazy.force update_tags in
-        let chosen =
-          List.filteri (fun i _ -> List.nth picks i) (Array.to_list tags)
-        in
-        let sec, integ =
-          List.partition (fun t -> Tag.kind t = Tag.Secrecy) chosen
-        in
-        Flow.make ~secrecy:(Label.of_list sec) ~integrity:(Label.of_list integ)
-          ())
-      (list_repeat 6 bool))
-
-let gen_update =
-  QCheck.Gen.(
-    gen_label >>= fun l ->
-    oneof
-      [
-        return (Flow.Merge l);
-        return (Flow.Assign l);
-        map2
-          (fun i j ->
-            let tags = Lazy.force update_tags in
-            Flow.Retract (Label.of_list [ tags.(i); tags.(j) ]))
-          (int_bound 5) (int_bound 5);
-      ])
-
-let pp_update = function
-  | Flow.Merge l -> Format.asprintf "Merge %a" Flow.pp_labels l
-  | Flow.Assign l -> Format.asprintf "Assign %a" Flow.pp_labels l
-  | Flow.Retract l -> "Retract " ^ Label.to_string l
-
-let arb_update = QCheck.make gen_update ~print:pp_update
-
-let commute_law =
-  QCheck.Test.make ~name:"updates_commute implies order-independence"
-    ~count:300
-    (QCheck.triple arb_update arb_update (QCheck.make gen_label))
-    (fun (a, b, l) ->
-      (not (Flow.updates_commute a b))
-      || Flow.equal_labels
-           (Flow.apply_update (Flow.apply_update l a) b)
-           (Flow.apply_update (Flow.apply_update l b) a))
-
-let test_commute_algebra () =
-  let l1 = Flow.make ~secrecy:(Label.singleton (Lazy.force update_tags).(0)) () in
-  let l2 = Flow.make ~secrecy:(Label.singleton (Lazy.force update_tags).(2)) () in
-  check bool_c "merge/merge" true
-    (Flow.updates_commute (Flow.Merge l1) (Flow.Merge l2));
-  check bool_c "retract/retract" true
-    (Flow.updates_commute
-       (Flow.Retract (Label.singleton (Lazy.force update_tags).(0)))
-       (Flow.Retract (Label.singleton (Lazy.force update_tags).(2))));
-  check bool_c "merge/retract disjoint" true
-    (Flow.updates_commute (Flow.Merge l1)
-       (Flow.Retract (Label.singleton (Lazy.force update_tags).(2))));
-  check bool_c "merge/retract overlapping" false
-    (Flow.updates_commute (Flow.Merge l1)
-       (Flow.Retract (Label.singleton (Lazy.force update_tags).(0))));
-  check bool_c "assign/assign equal" true
-    (Flow.updates_commute (Flow.Assign l1) (Flow.Assign l1));
-  check bool_c "assign/assign different" false
-    (Flow.updates_commute (Flow.Assign l1) (Flow.Assign l2));
-  check bool_c "assign/merge" false
-    (Flow.updates_commute (Flow.Assign l1) (Flow.Merge l2))
-
-(* ---- the MHP model vs. the exhaustive interleaving oracle ---- *)
-
-let prog ?(multiplicity = 1) name steps =
-  {
-    Mhp.name;
-    multiplicity;
-    steps =
-      List.map
-        (fun (ctx, op) ->
-          (match Syscall.Spec.find op with
-          | Some _ -> ()
-          | None -> Alcotest.failf "oracle model uses unknown op %s" op);
-          { Mhp.ctx; op })
-        steps;
-  }
-
-let d op = (Mhp.Direct, op)
-let g op = (Mhp.Gate_body, op)
-
-let oracle_models =
-  lazy
-    [
-      ( "free 2x2",
-        Mhp.make
-          [ prog "a" [ d "fs.stat"; d "fs.read" ];
-            prog "b" [ d "fs.relabel"; d "fs.unlink" ] ] );
-      ( "shielded step",
-        Mhp.make
-          [ prog "a" [ d "fs.stat"; d "fs.exists"; d "fs.read" ];
-            prog "b" [ d "fs.relabel" ] ] );
-      ( "gate atomic",
-        Mhp.make
-          [ prog "a" [ d "fs.stat"; g "label.declassify"; g "proc.respond" ];
-            prog "b" [ d "fs.relabel" ] ] );
-      ( "twins",
-        Mhp.make [ prog ~multiplicity:2 "p" [ d "fs.stat"; d "fs.exists" ] ] );
-      ( "three-way",
-        Mhp.make
-          [ prog "a" [ d "fs.stat"; d "fs.read" ];
-            prog "b" [ d "fs.relabel" ];
-            prog "c" [ d "ipc.send"; d "ipc.recv" ] ] );
-    ]
-
-let instance_key (i : Mhp.instance) = (i.Mhp.i_prog.Mhp.name, i.Mhp.i_id)
-
-(* Is step [i_op] of instance [ia] ever immediately adjacent to step
-   [j_op] of instance [ib] (either order) in some admitted schedule?
-   Oracle-model programs use distinct ops per step, so (instance, op)
-   identifies a unique step. *)
-let adjacent_in schedules ia i_op ib j_op =
-  List.exists
-    (fun sched ->
-      let rec scan = function
-        | (x, (sx : Mhp.step)) :: ((y, (sy : Mhp.step)) :: _ as rest) ->
-            (instance_key x = instance_key ia
-             && sx.Mhp.op = i_op
-             && instance_key y = instance_key ib
-             && sy.Mhp.op = j_op)
-            || (instance_key x = instance_key ib
-                && sx.Mhp.op = j_op
-                && instance_key y = instance_key ia
-                && sy.Mhp.op = i_op)
-            || scan rest
-        | _ -> false
-      in
-      scan sched)
-    schedules
-
-let test_mhp_matches_oracle () =
-  List.iter
-    (fun (name, model) ->
-      let schedules = Mhp.interleavings model in
-      check bool_c (name ^ ": oracle admits at least one schedule") true
-        (schedules <> []);
-      let insts = Array.of_list (Mhp.instances model) in
-      Array.iter
-        (fun ia ->
-          Array.iter
-            (fun ib ->
-              if instance_key ia <> instance_key ib then begin
-                let a_steps = Array.of_list ia.Mhp.i_prog.Mhp.steps in
-                let b_steps = Array.of_list ib.Mhp.i_prog.Mhp.steps in
-                Array.iteri
-                  (fun i (si : Mhp.step) ->
-                    Array.iteri
-                      (fun j (sj : Mhp.step) ->
-                        let predicted =
-                          Interfere.mhp_steps model a_steps i b_steps j
-                        in
-                        let observed =
-                          adjacent_in schedules ia si.Mhp.op ib sj.Mhp.op
-                        in
-                        check bool_c
-                          (Printf.sprintf "%s: %s[%d]~%s[%d]" name
-                             ia.Mhp.i_prog.Mhp.name i ib.Mhp.i_prog.Mhp.name
-                             j)
-                          observed predicted)
-                      b_steps)
-                  a_steps
-              end)
-            insts)
-        insts)
-    (Lazy.force oracle_models)
-
-let test_oracle_schedule_counts () =
-  let m name = List.assoc name (Lazy.force oracle_models) in
-  (* two fully-preemptible 2-step programs: choose(4,2) interleavings *)
-  check int_c "free 2x2" 6 (List.length (Mhp.interleavings (m "free 2x2")));
-  (* fs.exists has no entry preemption point, so stat|exists is welded:
-     b fits before a, between exists and read, or after — 3 slots *)
-  check int_c "shielded step" 3
-    (List.length (Mhp.interleavings (m "shielded step")));
-  (* atomic gate body welds all of a *)
-  check int_c "gate atomic" 2
-    (List.length (Mhp.interleavings (m "gate atomic")))
-
-(* ---- the detector ---- *)
-
-let showcase_model seed =
-  let society = W5_workload.Populate.build_showcase ~seed ~users:6 () in
-  let platform = society.W5_workload.Populate.platform in
-  (society, Interfere.model_of_static (Static.capture platform))
-
-let is_stale = function Interfere.Stale_flow_check _ -> true | _ -> false
-
-let test_clean_showcase () =
-  let _, model = showcase_model 42 in
-  let report = Interfere.analyze model in
-  (match Interfere.worst report with
-  | None | Some Severity.Info -> ()
-  | Some s ->
-      Alcotest.failf "clean showcase produced a %s finding" (Severity.name s));
-  check int_c "exit 0" 0 (Interfere.exit_code report);
-  check bool_c "the surface is not empty" true (report.Interfere.pairs_examined > 0)
-
-let test_seeded_toctou () =
-  let _, model = showcase_model 42 in
-  let report = Interfere.analyze (Interfere.seed_toctou model) in
-  check bool_c "stale flow check reported" true
-    (List.exists is_stale report.Interfere.findings);
-  check bool_c "ranked first (worst first)" true
-    (match report.Interfere.findings with
-    | f :: _ -> Interfere.severity_of f = Severity.High
-    | [] -> false);
-  check int_c "exit 3" 3 (Interfere.exit_code report)
-
-(* ---- differential soundness: replay seeded scheduler runs ---- *)
-
-let replay_model = lazy (snd (showcase_model 7))
-
-let replay_config seed =
-  {
-    W5_workload.Soak.default_config with
-    W5_workload.Soak.seed;
-    users = 6 + (seed mod 5);
-    requests = 30 + (seed mod 31);
-    waves = 1 + (seed mod 2);
-    quantum = 2 + (seed mod 5);
-  }
-
-let run_replay seed =
-  let society, _ = W5_workload.Soak.run (replay_config seed) in
-  let log =
-    Kernel.audit
-      (W5_platform.Platform.kernel society.W5_workload.Populate.platform)
+  let answer =
+    Kernel.exec kernel ~name:"caller"
+      ~owner:(Principal.make Principal.Developer "dev")
+      ~labels:Flow.bottom ~caps:Capability.Set.empty
+      ~limits:Resource.unlimited
+      (fun ctx -> Syscall.invoke_gate ctx "outer" ~arg:"x")
   in
-  Interfere.fold_audit (Lazy.force replay_model) log
+  Kernel.set_preempt_hook kernel None;
+  check bool_c "the outer gate answered" true
+    (match answer with Ok (Some ("x", _)) -> true | _ -> false);
+  check int_c "one fire at gate.invoke entry, both bodies shielded" 1 !fires;
+  List.iter
+    (fun path ->
+      check bool_c (path ^ " made") true (Fs.exists (Kernel.fs kernel) path))
+    [ "/outer-made"; "/inner-made"; "/outer-after" ]
 
-let differential_soundness =
-  QCheck.Test.make
-    ~name:"observed scheduler conflicts stay on the predicted surface"
+(* ---- conflicts the scheduler makes ----
+
+   The same rule under the seeded scheduler instead of a hook. The
+   owner of /f endorses itself, relabels the file secret and endorsed,
+   and writes the secret, while two readers and two unendorsed writers
+   keep accessing it. A syscall is atomic after its preemption point,
+   so the tick at which an access returns orders it against the
+   relabel: an access succeeds iff it returned before the relabel, no
+   reader ever holds the secret, and the file ends with the owner's
+   write. *)
+
+type access = { at : int; read : bool; allowed : bool; got : string option }
+
+type race = {
+  relabeled_at : int;  (* -1 if the owner never got that far *)
+  accesses : access list;
+  final : string;
+  preemptions : int;
+}
+
+let accesses_per_process = 6
+
+let race ~seed ~quantum =
+  let kernel = Kernel.create () in
+  let developer name = Principal.make Principal.Developer name in
+  ignore
+    (must "setup"
+       (Kernel.exec kernel ~name:"setup" ~owner:(developer "setup")
+          ~labels:Flow.bottom ~caps:Capability.Set.empty
+          ~limits:Resource.unlimited (fun ctx ->
+            Syscall.create_file ctx "/f" ~labels:Flow.bottom ~data:"public")));
+  let relabeled_at = ref (-1) and accesses = ref [] in
+  let note ~read r got =
+    accesses :=
+      { at = Kernel.tick kernel; read; allowed = Result.is_ok r; got }
+      :: !accesses
+  in
+  let spawn name body =
+    ignore
+      (must ("spawn " ^ name)
+         (Kernel.spawn kernel ~name ~owner:(developer name) ~labels:Flow.bottom
+            ~caps:Capability.Set.empty ~limits:Resource.default_app_limits
+            body))
+  in
+  spawn "owner" (fun ctx ->
+      let s = must "secrecy tag" (Syscall.create_tag ctx Tag.Secrecy) in
+      let i = must "integrity tag" (Syscall.create_tag ctx Tag.Integrity) in
+      must "endorse" (Syscall.endorse_self ctx i);
+      must "relabel"
+        (Syscall.set_file_labels ctx "/f"
+           ~labels:
+             (Flow.make ~secrecy:(Label.singleton s)
+                ~integrity:(Label.singleton i) ()));
+      relabeled_at := Kernel.tick kernel;
+      must "write" (Syscall.write_file ctx "/f" ~data:"secret"));
+  for n = 1 to 2 do
+    spawn (Printf.sprintf "reader%d" n) (fun ctx ->
+        for _ = 1 to accesses_per_process do
+          let r = Syscall.read_file ctx "/f" in
+          note ~read:true r (Result.to_option r)
+        done);
+    spawn (Printf.sprintf "writer%d" n) (fun ctx ->
+        for _ = 1 to accesses_per_process do
+          note ~read:false (Syscall.write_file ctx "/f" ~data:"low") None
+        done)
+  done;
+  let stats = Sched.run ~quantum ~policy:(Sched.Seeded seed) kernel in
+  {
+    relabeled_at = !relabeled_at;
+    accesses = !accesses;
+    final =
+      (match Fs.read (Kernel.fs kernel) "/f" with
+      | Ok (data, _) -> data
+      | Error e -> Os_error.to_string e);
+    preemptions = stats.Sched.preemptions;
+  }
+
+let prop_conflicts_serializable =
+  QCheck.Test.make ~name:"observed scheduler conflicts stay serializable"
     ~count:300
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let replay = run_replay seed in
-      if replay.Interfere.unpredicted <> [] then
-        QCheck.Test.fail_reportf "unpredicted conflicts (seed %d): %s" seed
-          (String.concat "; " replay.Interfere.unpredicted)
-      else if replay.Interfere.atomic_violations <> [] then
-        QCheck.Test.fail_reportf "atomicity violations (seed %d): %s" seed
-          (String.concat "; " replay.Interfere.atomic_violations)
-      else true)
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 6))
+  @@ fun (seed, quantum) ->
+  let r = race ~seed ~quantum in
+  let stale =
+    List.filter (fun a -> a.allowed <> (a.at < r.relabeled_at)) r.accesses
+  in
+  if r.relabeled_at < 0 then QCheck.Test.fail_report "the owner never relabeled"
+  else if List.length r.accesses <> 4 * accesses_per_process then
+    QCheck.Test.fail_reportf "%d accesses returned" (List.length r.accesses)
+  else if stale <> [] then
+    QCheck.Test.fail_reportf "decided on the state before the relabel at %d: %s"
+      r.relabeled_at
+      (String.concat ", "
+         (List.map
+            (fun a ->
+              Printf.sprintf "%s %s at %d"
+                (if a.read then "read" else "write")
+                (if a.allowed then "allowed" else "denied")
+                a.at)
+            stale))
+  else if List.exists (fun a -> a.got = Some "secret") r.accesses then
+    QCheck.Test.fail_report "a reader got the secret"
+  else if r.final <> "secret" then
+    QCheck.Test.fail_reportf "the file ends with %S" r.final
+  else true
 
+(* The property above must not hold vacuously: over a few fixed seeds
+   the scheduler preempts, and reads and writes land on both sides of
+   the relabel within one run. *)
 let test_replay_observes_interleavings () =
-  (* the soundness law must not hold vacuously: a real soak shows
-     actual cross-thread interleavings and label conflicts *)
-  let replay = run_replay 3 in
-  check bool_c "events seen" true (replay.Interfere.events_seen > 0);
-  check bool_c "threads seen" true (replay.Interfere.threads_seen > 1);
-  check bool_c "interleavings observed" true
-    (replay.Interfere.interleavings_observed > 0);
-  check bool_c "conflicts observed" true
-    (replay.Interfere.conflicts_observed > 0);
-  check int_c "clean replay exits 0" 0 (Interfere.replay_exit_code replay)
-
-(* ---- satellite: label-safe finding-count metrics ---- *)
-
-let test_metrics_label_safe () =
-  let society, model = showcase_model 11 in
-  let platform = society.W5_workload.Populate.platform in
-  let st = Static.capture platform in
-  let registry = W5_obs.Metrics.create () in
-  Vet.export_metrics registry (Vet.report st);
-  Interfere.export_metrics registry (Interfere.analyze model);
-  let text = W5_obs.Exposition.prometheus registry in
-  check bool_c "vet gauge exported" true
-    (contains text "w5_vet_findings_total");
-  check bool_c "interference gauge exported" true
-    (contains text "w5_interfere_findings_total");
-  check bool_c "severity label present" true
-    (contains text "severity=\"high\"");
-  (* canary sweep: no user name, tag name, or gate name may appear in
-     the exposition — the label values are a closed set *)
-  List.iter
-    (fun user ->
-      check bool_c ("no user byte leaks: " ^ user) false (contains text user))
-    society.W5_workload.Populate.users;
-  List.iter
-    (fun tag ->
-      check bool_c ("no tag byte leaks: " ^ tag) false (contains text tag))
-    (List.map
-       (fun (t : Static.tag_info) -> t.Static.tag_name)
-       (Static.tags st))
-
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+  let runs = List.init 20 (fun seed -> race ~seed ~quantum:(1 + (seed mod 3))) in
+  let split ~read r =
+    let mine = List.filter (fun a -> a.read = read) r.accesses in
+    List.exists (fun a -> a.allowed) mine
+    && List.exists (fun a -> not a.allowed) mine
+  in
+  check bool_c "the scheduler preempted" true
+    (List.for_all (fun r -> r.preemptions > 0) runs);
+  check bool_c "reads allowed and denied in one run" true
+    (List.exists (split ~read:true) runs);
+  check bool_c "writes allowed and denied in one run" true
+    (List.exists (split ~read:false) runs)
 
 let suite =
   [
@@ -467,22 +500,13 @@ let suite =
     Alcotest.test_case "spec table unique+findable" `Quick
       test_spec_table_unique_and_findable;
     Alcotest.test_case "specs revalidate dependencies" `Quick
-      test_spec_revalidates_dependencies;
+      test_specs_revalidate;
     Alcotest.test_case "spec preempt flags" `Quick test_spec_preempt_flags;
     Alcotest.test_case "preempt point matches spec" `Quick
       test_preempt_point_matches_spec;
     Alcotest.test_case "gate children atomic in kernel" `Quick
       test_gate_children_atomic_in_kernel;
-    Alcotest.test_case "commute algebra" `Quick test_commute_algebra;
-    Alcotest.test_case "mhp matches exhaustive oracle" `Quick
-      test_mhp_matches_oracle;
-    Alcotest.test_case "oracle schedule counts" `Quick
-      test_oracle_schedule_counts;
-    Alcotest.test_case "clean showcase" `Quick test_clean_showcase;
-    Alcotest.test_case "seeded toctou" `Quick test_seeded_toctou;
     Alcotest.test_case "replay observes real interleavings" `Quick
       test_replay_observes_interleavings;
-    Alcotest.test_case "finding metrics label-safe" `Quick
-      test_metrics_label_safe;
+    QCheck_alcotest.to_alcotest prop_conflicts_serializable;
   ]
-  @ qsuite [ commute_law; differential_soundness ]

@@ -1032,9 +1032,7 @@ let test_audit_clear_and_length () =
       check bool_c "ordered oldest first" true (a.Audit.seq < b.Audit.seq)
   | _ -> Alcotest.fail "expected two entries");
   check int_c "for_pid" 2 (List.length (Audit.for_pid log 7));
-  check int_c "other pid" 0 (List.length (Audit.for_pid log 8));
-  Audit.clear log;
-  check int_c "cleared" 0 (Audit.length log)
+  check int_c "other pid" 0 (List.length (Audit.for_pid log 8))
 
 let test_quota_kinds_render () =
   List.iter
@@ -1250,10 +1248,6 @@ let test_audit_capacity () =
 
 (* ---- audit log against the list model in audit_ref.ml ---- *)
 
-type audit_op =
-  | Record of int * int * int  (* tick, pid, index into [audit_events] *)
-  | Clear
-
 let audit_denial = Error (Flow.Secrecy_violation Label.empty)
 
 (* Allowed and denied decisions of three kinds, and kinds that never
@@ -1288,17 +1282,8 @@ let audit_kinds =
 
 let gen_audit_case =
   QCheck.Gen.(
-    let op =
-      frequency
-        [
-          ( 9,
-            map3
-              (fun tick pid ev -> Record (tick, pid, ev))
-              (0 -- 50) (0 -- 3)
-              (0 -- (Array.length audit_events - 1)) );
-          (1, return Clear);
-        ]
-    in
+    (* tick, pid, index into [audit_events] *)
+    let op = triple (0 -- 50) (0 -- 3) (0 -- (Array.length audit_events - 1)) in
     (* seq bounds reach below the first seq, into the evicted prefix
        and past the newest entry *)
     let bound = -2 -- 45 in
@@ -1309,9 +1294,7 @@ let print_audit_case (capacity, ops, _) =
   Printf.sprintf "capacity=%d ops=[%s]" capacity
     (String.concat "; "
        (List.map
-          (function
-            | Record (tick, pid, ev) -> Printf.sprintf "R(%d,%d,%d)" tick pid ev
-            | Clear -> "C")
+          (fun (tick, pid, ev) -> Printf.sprintf "R(%d,%d,%d)" tick pid ev)
           ops))
 
 (* Two entry lists agree when seq, tick and pid match and each entry
@@ -1364,22 +1347,16 @@ let prop_audit_matches_reference =
       in
       agree ()
       && List.for_all
-           (fun op ->
-             (match op with
-             | Record (tick, pid, ev) ->
-                 let event = audit_events.(ev) tick in
-                 Audit.record log ~tick ~pid event;
-                 Audit_ref.record model ~tick ~pid event
-             | Clear ->
-                 Audit.clear log;
-                 Audit_ref.clear model);
+           (fun (tick, pid, ev) ->
+             let event = audit_events.(ev) tick in
+             Audit.record log ~tick ~pid event;
+             Audit_ref.record model ~tick ~pid event;
              agree ())
            ops)
 
 (* A full log's footprint is fixed: recording another [capacity]
    events replaces the retained ones and leaves the log exactly as
-   large. Each event is a fresh block of the same size. A cleared log
-   is as small as a new one: it keeps no event alive. *)
+   large. Each event is a fresh block of the same size. *)
 let test_audit_footprint () =
   let capacity = 1000 in
   let log = Audit.create ~capacity in
@@ -1394,11 +1371,7 @@ let test_audit_footprint () =
   check int_c "words after 2 x capacity records" at_capacity
     (Obj.reachable_words (Obj.repr log));
   check int_c "length" capacity (Audit.length log);
-  check int_c "evicted" capacity (Audit.evicted log);
-  Audit.clear log;
-  check int_c "words after clear"
-    (Obj.reachable_words (Obj.repr (Audit.create ~capacity)))
-    (Obj.reachable_words (Obj.repr log))
+  check int_c "evicted" capacity (Audit.evicted log)
 
 let suite =
   suite

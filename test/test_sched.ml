@@ -1,12 +1,15 @@
 (* The deterministic interleaved scheduler, pinned down.
 
    Units: preemption at quantum expiry, quota kills mid-slice (with
-   the victim's audit trail intact), gate atomicity under preemption,
-   and the admission bookkeeping. Properties (300+ cases each way): the same
-   seed over a randomized process mix yields byte-identical audit logs
-   and final filesystem state across two runs, and seeded interleaved
-   execution converges to exactly the sequential final state when the
-   processes' writes are disjoint. *)
+   the victim's audit trail intact), the preempt hook set aside while
+   a gate child runs, and the admission bookkeeping. Properties
+   (100-300 cases each): gate invocations stay atomic under any seed
+   and quantum; the same seed over a randomized process mix yields
+   byte-identical audit logs and final filesystem state across two
+   runs; and seeded interleaved execution converges to exactly the
+   sequential final state when the processes' writes are disjoint.
+   What a syscall decides on after its preemption point is pinned in
+   test_interfere. *)
 
 open W5_difc
 open W5_os
@@ -202,8 +205,13 @@ let test_quota_kill_mid_slice () =
 
 (* A gate child's syscalls run nested inside the caller's dispatch, so
    a quantum-sized caller must never be preempted mid-gate: the
-   child's audit events are contiguous per invocation. *)
-let test_gate_atomic_under_preemption () =
+   child's audit events are contiguous per invocation, under any seed
+   and quantum. *)
+let prop_gate_atomic_under_preemption =
+  QCheck.Test.make ~name:"gate invocations stay atomic under preemption"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 6))
+  @@ fun (seed, quantum) ->
   let kernel = fresh_kernel () in
   Kernel.register_gate kernel ~name:"echo"
     ~owner:(Principal.make Principal.Provider "gatekeeper")
@@ -233,9 +241,7 @@ let test_gate_atomic_under_preemption () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "spawn: %s" (Os_error.to_string e))
     [ 0; 1; 2 ];
-  let stats = Sched.run ~quantum:1 ~policy:(Sched.Seeded 99) kernel in
-  check int_c "all callers completed" 3 stats.Sched.completed;
-  check bool_c "preemption happened" true (stats.Sched.preemptions > 0);
+  let stats = Sched.run ~quantum ~policy:(Sched.Seeded seed) kernel in
   (* contiguity: once a gate child's first event appears, all of that
      child's events appear before any other pid's *)
   let entries = Audit.entries (Kernel.audit kernel) in
@@ -247,33 +253,44 @@ let test_gate_atomic_under_preemption () =
         | _ -> None)
       entries
   in
-  check bool_c "gates ran" true (List.length gate_pids >= 18);
-  List.iter
-    (fun pid ->
-      let seqs =
-        List.filter_map
-          (fun e -> if e.Audit.pid = pid then Some e.Audit.seq else None)
-          entries
-      in
-      match seqs with
-      | [] -> ()
-      | first :: _ ->
-          let last = List.nth seqs (List.length seqs - 1) in
-          check int_c
-            (Printf.sprintf "gate child %d events contiguous" pid)
-            (List.length seqs)
-            (last - first + 1))
-    gate_pids
+  let torn =
+    List.filter
+      (fun pid ->
+        match
+          List.filter_map
+            (fun e -> if e.Audit.pid = pid then Some e.Audit.seq else None)
+            entries
+        with
+        | [] -> false
+        | first :: _ as seqs ->
+            let last = List.nth seqs (List.length seqs - 1) in
+            last - first + 1 <> List.length seqs)
+      gate_pids
+  in
+  if stats.Sched.completed <> 3 then
+    QCheck.Test.fail_reportf "%d of 3 callers completed" stats.Sched.completed
+  else if stats.Sched.preemptions = 0 then
+    QCheck.Test.fail_report "no preemption happened"
+  else if List.length gate_pids < 18 then
+    QCheck.Test.fail_reportf "only %d gates ran" (List.length gate_pids)
+  else if torn <> [] then
+    QCheck.Test.fail_reportf "gate children with interleaved events: %s"
+      (String.concat ", " (List.map string_of_int torn))
+  else true
 
 (* A gate call sets the preemption hook aside only while its child
-   runs: the child's syscalls never reach the hook, and the caller's
-   next syscall is a preemption point again. *)
+   runs: the child's syscalls (a mkdir and a stat here) never reach
+   the hook, and the caller's next syscall is a preemption point
+   again. *)
 let test_gate_call_restores_preempt_hook () =
   let kernel = Kernel.create () in
   Kernel.register_gate kernel ~name:"probe"
     ~owner:(Kernel.kernel_principal kernel)
     ~caps:Capability.Set.empty
-    ~entry:(fun ctx arg -> ignore (Syscall.respond ctx arg));
+    ~entry:(fun ctx arg ->
+      ignore (Syscall.mkdir ctx "/gate-made" ~labels:Flow.bottom);
+      ignore (Syscall.stat ctx "/gate-made");
+      ignore (Syscall.respond ctx arg));
   (match
      Kernel.spawn kernel ~name:"caller"
        ~owner:(Principal.make Principal.Developer "dev")
@@ -292,7 +309,9 @@ let test_gate_call_restores_preempt_hook () =
   check
     (Alcotest.list Alcotest.string)
     "gate.invoke and fs.readdir entries, none in the child"
-    [ "caller"; "caller" ] (List.rev !fired)
+    [ "caller"; "caller" ] (List.rev !fired);
+  check bool_c "the child's syscalls ran" true
+    (Fs.exists (Kernel.fs kernel) "/gate-made")
 
 let test_admission_skips_executed_bodies () =
   (* a body spawned and run synchronously before the drain (as a
@@ -406,8 +425,7 @@ let suite =
       test_preemption_interleaves;
     Alcotest.test_case "quota kill mid-slice is audited" `Quick
       test_quota_kill_mid_slice;
-    Alcotest.test_case "gate invocations stay atomic under preemption" `Quick
-      test_gate_atomic_under_preemption;
+    QCheck_alcotest.to_alcotest prop_gate_atomic_under_preemption;
     Alcotest.test_case "gate call restores the preempt hook" `Quick
       test_gate_call_restores_preempt_hook;
     Alcotest.test_case "admission skips already-executed bodies" `Quick

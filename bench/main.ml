@@ -6,11 +6,11 @@
    DESIGN.md §4, the *characterization* a systems reader would demand
    of the prototype the paper defers to future work:
 
-   - fig1-baseline / fig2-w5 : the same user action on the silo model
-     and on the W5 meta-application (F1/F2);
-   - e2e-request             : full HTTP requests with enforcement on
-     vs off — the DIFC overhead (P1; Flume reports 30-45% on Apache
-     workloads as the shape reference);
+   - fig1-baseline           : user actions on the silo model (F1);
+   - e2e-request             : full HTTP requests through the W5
+     meta-application (F2) with enforcement on vs off — the DIFC
+     overhead (P1; Flume reports 30-45% on Apache workloads as the
+     shape reference);
    - label-ops               : the inner-loop lattice operations at
      several label sizes, plus the sorted-array ablation (DESIGN §5);
    - export-check / declassifier : perimeter and gate costs (E1/E2);
@@ -62,7 +62,7 @@ let bench_fig1 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* fig2-w5 + e2e-request: full requests through the gateway            *)
+(* e2e-request: full requests through the gateway                     *)
 (* ------------------------------------------------------------------ *)
 
 let bench_e2e () =

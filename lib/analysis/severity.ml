@@ -9,7 +9,6 @@ let name = function
   | Info -> "info"
 
 let all = [ Critical; High; Warning; Info ]
-let compare a b = Int.compare (rank a) (rank b)
 let max_sev a b = if rank a >= rank b then a else b
 
 let worst sevs =

@@ -19,8 +19,6 @@ val name : t -> string
 val all : t list
 (** Every severity, worst first. *)
 
-val compare : t -> t -> int
-
 val worst : t list -> t option
 (** The worst severity present, [None] for an empty list. *)
 

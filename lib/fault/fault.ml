@@ -87,6 +87,18 @@ let consult t ~op ~file =
       Some action
   | _ -> None
 
+let one_shot t ~op ~file ~on_drop =
+  let rec go attempt =
+    match consult t ~op ~file with
+    | None | Some (Delay _ | Duplicate) -> Ok ()
+    | Some (Crash_before_apply | Crash_after_apply) -> Error `Crashed
+    | Some Drop when attempt < 3 ->
+        on_drop attempt;
+        go (attempt + 1)
+    | Some Drop -> Error `Lost
+  in
+  go 1
+
 let pending t = List.length t.schedule
 let exhausted t = t.schedule = []
 let steps_taken t = t.step

@@ -17,8 +17,8 @@
 
     The consumers are the federation layer's injection points:
     [Sync.sync] (message loss, duplication, delays, provider crashes
-    around the apply step), [Migrate.import_bundle]/[export_bundle]
-    and [Peer.link_user]. *)
+    around the apply step), and, through {!one_shot},
+    [Migrate.import_bundle]/[export_bundle] and [Peer.link_user]. *)
 
 type action =
   | Drop  (** the message (export request or apply) is lost; the
@@ -70,6 +70,16 @@ val consult : t -> op:string -> file:string -> action option
     and pops the scheduled fault for this step, if any. [op]/[file]
     are recorded for {!fired} — they are structural names, never user
     bytes. *)
+
+val one_shot :
+  t -> op:string -> file:string -> on_drop:(int -> unit) ->
+  (unit, [ `Lost | `Crashed ]) result
+(** The retry policy of a message sent once to an idempotent receiver
+    (a link handshake, a migration's export request or import entry):
+    consult the plan at [op]/[file]; a dropped message is re-sent, up
+    to three attempts in all, calling [on_drop attempt] before each
+    re-send; a crash fails at once ([`Crashed]); delays and duplicates
+    pass. [`Lost] when the third attempt is dropped too. *)
 
 val pending : t -> int
 (** Faults not yet fired. *)

@@ -12,21 +12,15 @@ type bundle = entry list
 
 (* Consult [faults] at [op]:[file] outside any syscall context (a
    crash must surface as an error to the caller, not be swallowed by
-   with_ctx): Drop retries [attempt] up to 3 times, a crash aborts,
-   delays and duplicates fall through to the idempotent operation. *)
-let rec faulty ?faults ~op ~file attempt =
-  match faults with
-  | None -> Ok ()
-  | Some plan -> (
-      match Fault.consult plan ~op ~file with
-      | None | Some (Fault.Delay _) | Some Fault.Duplicate -> Ok ()
-      | Some Fault.Drop when attempt < 3 -> faulty ?faults ~op ~file (attempt + 1)
-      | Some Fault.Drop -> Error (Os_error.Invalid (op ^ " " ^ file ^ ": lost"))
-      | Some (Fault.Crash_before_apply | Fault.Crash_after_apply) ->
-          Error (Os_error.Invalid ("crash: " ^ op ^ " " ^ file)))
+   with_ctx). *)
+let faulty faults ~op ~file =
+  match Fault.one_shot faults ~op ~file ~on_drop:ignore with
+  | Ok () -> Ok ()
+  | Error `Lost -> Error (Os_error.Invalid (op ^ " " ^ file ^ ": lost"))
+  | Error `Crashed -> Error (Os_error.Invalid ("crash: " ^ op ^ " " ^ file))
 
-let export_bundle ?faults platform (account : Account.t) =
-  match faulty ?faults ~op:"migrate.export" ~file:account.Account.user 1 with
+let export_bundle ?(faults = Fault.none ()) platform (account : Account.t) =
+  match faulty faults ~op:"migrate.export" ~file:account.Account.user with
   | Error _ as e -> e
   | Ok () ->
   let home = Platform.user_dir account.Account.user in
@@ -78,7 +72,8 @@ let export_bundle ?faults platform (account : Account.t) =
           List.sort (fun a b -> String.compare a.rel_path b.rel_path) entries)
         (walk home (Ok [])))
 
-let import_bundle ?faults platform (account : Account.t) bundle =
+let import_bundle ?(faults = Fault.none ()) platform (account : Account.t)
+    bundle =
   let written = ref 0 in
   let rec ensure_dirs rel =
     match String.rindex_opt rel '/' with
@@ -98,7 +93,7 @@ let import_bundle ?faults platform (account : Account.t) bundle =
     | Ok () -> (
         (* per-entry delivery: a crash mid-bundle leaves a partial
            import; a rerun overwrites idempotently and completes it *)
-        match faulty ?faults ~op:"migrate.import" ~file:rel_path 1 with
+        match faulty faults ~op:"migrate.import" ~file:rel_path with
         | Error _ as e -> e
         | Ok () ->
         match ensure_dirs rel_path with
@@ -144,22 +139,17 @@ let migrate_account ?faults ~from_platform ~from_account ~to_platform
           (fun () -> export_bundle ?faults from_platform from_account)
       with
       | Error _ as e -> e
-      | Ok bundle -> (
-          let import () = import_bundle ?faults to_platform to_account bundle in
+      | Ok bundle ->
           (* the import runs on the destination provider's kernel; the
              carried context keeps both halves one trace *)
           let kt = Platform.kernel to_platform in
-          let origin = Principal.name (Platform.provider from_platform) in
-          match
-            W5_obs.Tracer.context tracer_from ~origin ~tick:(clock_from ())
-          with
-          | None -> import ()
-          | Some context ->
-              W5_obs.Tracer.with_remote_span (W5_os.Kernel.tracer kt)
-                ~clock:(fun () -> W5_os.Kernel.tick kt)
-                ~context
-                ~fields:[ ("entries", string_of_int (List.length bundle)) ]
-                "migrate.import" import))
+          W5_obs.Tracer.handoff tracer_from
+            ~origin:(Principal.name (Platform.provider from_platform))
+            ~tick:(clock_from ()) ~into:(W5_os.Kernel.tracer kt)
+            ~clock:(fun () -> W5_os.Kernel.tick kt)
+            ~fields:[ ("entries", string_of_int (List.length bundle)) ]
+            "migrate.import"
+            (fun () -> import_bundle ?faults to_platform to_account bundle))
 
 (* The bundle file format reuses the record escaping: one entry per
    line, [path=content], both escaped. *)

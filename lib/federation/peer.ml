@@ -42,6 +42,7 @@ let link_user ?faults t ~user ~files =
   if List.length holding < 2 then
     Error (user ^ ": needs an account on at least two providers")
   else
+    let plan = Option.value faults ~default:(Fault.none ()) in
     let rec build acc = function
       | [] -> Ok (List.rev acc)
       | ((name_a, pa), (name_b, pb)) :: rest -> (
@@ -50,25 +51,10 @@ let link_user ?faults t ~user ~files =
           let pair = name_a ^ "~" ^ name_b in
           let ka = Platform.kernel pa and kb = Platform.kernel pb in
           let tracer_a = Kernel.tracer ka in
-          (* the link handshake is a message too: it can be lost (a
-             couple of retries) or arrive while a provider is down *)
-          let rec handshake attempt =
-            match faults with
-            | None -> Sync.establish ~a ~b ~user ~files ()
-            | Some plan -> (
-                match Fault.consult plan ~op:"peer.link" ~file:pair with
-                | Some Fault.Drop when attempt < 3 ->
-                    Tracer.event tracer_a ~tick:(Kernel.tick ka)
-                      "peer.link.fault"
-                      ~fields:
-                        [ ("action", "drop");
-                          ("attempt", string_of_int attempt) ];
-                    handshake (attempt + 1)
-                | Some Fault.Drop -> Error (pair ^ ": link handshake lost")
-                | Some (Fault.Crash_before_apply | Fault.Crash_after_apply) ->
-                    Error ("crash: peer.link " ^ pair)
-                | Some (Fault.Delay _ | Fault.Duplicate) | None ->
-                    Sync.establish ?faults ~a ~b ~user ~files ())
+          let on_drop attempt =
+            Tracer.event tracer_a ~tick:(Kernel.tick ka) "peer.link.fault"
+              ~fields:
+                [ ("action", "drop"); ("attempt", string_of_int attempt) ]
           in
           let result =
             Tracer.with_span tracer_a
@@ -76,24 +62,27 @@ let link_user ?faults t ~user ~files =
               ~fields:[ ("peer", name_b); ("pair", pair) ]
               "peer.link"
               (fun () ->
-                match handshake 1 with
-                | Error _ as e -> e
-                | Ok link ->
-                    (* the accepting side logs the handshake under the
-                       carried context — the first cross-provider edge
-                       of the trace *)
-                    (match
-                       Tracer.context tracer_a ~origin:name_a
-                         ~tick:(Kernel.tick ka)
-                     with
-                    | None -> ()
-                    | Some context ->
-                        Tracer.with_remote_span (Kernel.tracer kb)
+                (* the link handshake is a message too: it can be lost
+                   (a couple of retries) or arrive while a provider is
+                   down *)
+                match
+                  Fault.one_shot plan ~op:"peer.link" ~file:pair ~on_drop
+                with
+                | Error `Lost -> Error (pair ^ ": link handshake lost")
+                | Error `Crashed -> Error ("crash: peer.link " ^ pair)
+                | Ok () -> (
+                    match Sync.establish ?faults ~a ~b ~user ~files () with
+                    | Error _ as e -> e
+                    | Ok link ->
+                        (* the accepting side logs the handshake under
+                           the carried context — the first
+                           cross-provider edge of the trace *)
+                        Tracer.handoff tracer_a ~origin:name_a
+                          ~tick:(Kernel.tick ka) ~into:(Kernel.tracer kb)
                           ~clock:(fun () -> Kernel.tick kb)
-                          ~context
                           ~fields:[ ("peer", name_a) ]
-                          "peer.link.accept" ignore);
-                    Ok link)
+                          "peer.link.accept" ignore;
+                        Ok link))
           in
           match result with
           | Error _ as e -> e

@@ -9,23 +9,24 @@ type side = {
   provider_name : string;
 }
 
-type mode =
-  | Bidirectional
-  | Mirror_a_to_b
+(* One side as the link holds it: the provider, its name, and the
+   user's account there. [establish] looks each account up once; an
+   account changes in place (grants, read protection) and is never
+   replaced, so the reference stays current. *)
+type replica = {
+  provider : Platform.t;
+  name : string;
+  account : Account.t;
+}
 
 type link = {
-  side_a : side;
-  side_b : side;
-  link_mode : mode;
-  link_user : string;
+  a : replica;  (* home: its kernel owns the round's telemetry *)
+  b : replica;
   mutable sync_files : string list;
   mutable sync_dirs : string list;
   seen : (string, Vector_clock.t) Hashtbl.t;
   mutable seen_dirty : bool;
   mutable faults : Fault.t;
-  mutable max_attempts : int;
-  mutable backoff_cap : int;   (* logical ticks *)
-  mutable round_budget : int;  (* logical ticks of retry/delay per round *)
 }
 
 type stats = {
@@ -45,6 +46,14 @@ type counters = {
   mutable c_timed_out : int;
   mutable c_faulted : int;
 }
+
+(* The delivery policy: at most [max_attempts] deliveries per message,
+   a backoff of 2^(attempt-1) logical ticks capped at [backoff_cap],
+   and at most [round_budget] ticks of backoff plus injected delay per
+   round (the link timeout). *)
+let max_attempts = 4
+let backoff_cap = 8
+let round_budget = 64
 
 (* Durable link state lives in a dot-directory of the user's home on
    the relevant side, written with the user's own authority so it
@@ -112,10 +121,10 @@ let export_record platform (account : Account.t) ~file =
                   | Error m -> Error (Os_error.Invalid m)
                   | Ok record -> Ok (record, st.Fs.version)))))
 
-let version_of platform (account : Account.t) ~file =
-  let path = Platform.user_file account.Account.user file in
+let version_of r ~file =
+  let path = Platform.user_file r.account.Account.user file in
   match
-    Platform.with_ctx platform ~name:("sync.stat:" ^ path) (fun ctx ->
+    Platform.with_ctx r.provider ~name:("sync.stat:" ^ path) (fun ctx ->
         Syscall.stat ctx path)
   with
   | Ok st -> st.Fs.version
@@ -123,8 +132,8 @@ let version_of platform (account : Account.t) ~file =
 
 (* ---- durable seen clocks --------------------------------------------- *)
 
-let load_seen seen platform (account : Account.t) ~peer =
-  match Platform.read_user_record platform account ~file:(seen_file ~peer) with
+let load_seen seen r ~peer =
+  match Platform.read_user_record r.provider r.account ~file:(seen_file ~peer) with
   | Error _ -> ()
   | Ok record ->
       List.iter
@@ -135,8 +144,8 @@ let load_seen seen platform (account : Account.t) ~peer =
         (Record.fields record)
 
 let persist_seen link =
-  let account = Platform.account_exn link.side_a.platform link.link_user in
-  ignore (Platform.user_mkdir link.side_a.platform account ~dir:state_dir);
+  let a = link.a in
+  ignore (Platform.user_mkdir a.provider a.account ~dir:state_dir);
   let fields =
     Hashtbl.fold
       (fun file clock acc -> (file, Vector_clock.encode clock) :: acc)
@@ -144,42 +153,29 @@ let persist_seen link =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   ignore
-    (Platform.write_user_record link.side_a.platform account
-       ~file:(seen_file ~peer:link.side_b.provider_name)
+    (Platform.write_user_record a.provider a.account
+       ~file:(seen_file ~peer:link.b.name)
        (Record.of_fields fields))
 
-let establish ?(mode = Bidirectional) ?faults ~a ~b ~user ~files () =
+let establish ?(faults = Fault.none ()) ~a ~b ~user ~files () =
   match (Platform.find_account a.platform user, Platform.find_account b.platform user) with
   | None, _ -> Error (user ^ ": no account on " ^ a.provider_name)
   | _, None -> Error (user ^ ": no account on " ^ b.provider_name)
-  | Some account_a, Some _ ->
+  | Some account_a, Some account_b ->
+      let replica (s : side) account =
+        { provider = s.platform; name = s.provider_name; account }
+      in
+      let a = replica a account_a and b = replica b account_b in
       let seen = Hashtbl.create 16 in
       (* a restarted agent resumes from the durable clocks: deletions
          keep propagating, re-applied writes stay no-ops *)
-      load_seen seen a.platform account_a ~peer:b.provider_name;
+      load_seen seen a ~peer:b.name;
       Ok
-        {
-          side_a = a;
-          side_b = b;
-          link_mode = mode;
-          link_user = user;
-          sync_files = files;
-          sync_dirs = [];
-          seen;
-          seen_dirty = false;
-          faults = (match faults with Some f -> f | None -> Fault.none ());
-          max_attempts = 4;
-          backoff_cap = 8;
-          round_budget = 64;
-        }
+        { a; b; sync_files = files; sync_dirs = []; seen; seen_dirty = false;
+          faults }
 
 let set_faults link plan = link.faults <- plan
 let faults link = link.faults
-
-let configure ?max_attempts ?backoff_cap ?round_budget link =
-  Option.iter (fun n -> link.max_attempts <- max n 1) max_attempts;
-  Option.iter (fun n -> link.backoff_cap <- max n 1) backoff_cap;
-  Option.iter (fun n -> link.round_budget <- max n 1) round_budget
 
 let add_file link file =
   if not (List.mem file link.sync_files) then
@@ -191,14 +187,14 @@ let add_directory link dir =
 
 let directories link = link.sync_dirs
 let files link = link.sync_files
-let user link = link.link_user
+let user link = link.a.account.Account.user
 
-(* Entries of /users/<u>/<dir> on one platform, [] if absent. *)
-let dir_entries platform (account : Account.t) ~dir =
-  let path = Platform.user_file account.Account.user dir in
+(* Entries of /users/<u>/<dir> on one side, [] if absent. *)
+let dir_entries r ~dir =
+  let path = Platform.user_file r.account.Account.user dir in
   match
-    Platform.with_ctx platform ~name:("sync.ls:" ^ path)
-      ~caps:(transfer_caps account) (fun ctx ->
+    Platform.with_ctx r.provider ~name:("sync.ls:" ^ path)
+      ~caps:(transfer_caps r.account) (fun ctx ->
         match Syscall.stat ctx path with
         | Error _ as e -> e
         | Ok st -> (
@@ -212,24 +208,22 @@ let dir_entries platform (account : Account.t) ~dir =
   | Error _ -> []
 
 (* Importing "photos/p1" needs "photos" to exist on the target. *)
-let ensure_parent_dir platform (account : Account.t) ~file =
+let ensure_parent_dir r ~file =
   match String.index_opt file '/' with
   | None -> Ok ()
   | Some i -> (
       let dir = String.sub file 0 i in
-      match Platform.user_mkdir platform account ~dir with
+      match Platform.user_mkdir r.provider r.account ~dir with
       | Ok () -> Ok ()
       | Error (Os_error.Already_exists _) -> Ok ()
       | Error _ as e -> e)
 
 let current_clock link ~file =
-  let account_a = Platform.account_exn link.side_a.platform link.link_user in
-  let account_b = Platform.account_exn link.side_b.platform link.link_user in
   Vector_clock.set
-    (Vector_clock.set Vector_clock.zero ~node:link.side_a.provider_name
-       (version_of link.side_a.platform account_a ~file))
-    ~node:link.side_b.provider_name
-    (version_of link.side_b.platform account_b ~file)
+    (Vector_clock.set Vector_clock.zero ~node:link.a.name
+       (version_of link.a ~file))
+    ~node:link.b.name
+    (version_of link.b ~file)
 
 let seen_clock link ~file =
   Option.value (Hashtbl.find_opt link.seen file) ~default:Vector_clock.zero
@@ -238,17 +232,19 @@ let seen_clock link ~file =
 
 (* Telemetry and audit for faults land on side A's kernel: the link
    runs as an agent of that platform (see [meter_round]). *)
-let home_kernel link = Platform.kernel link.side_a.platform
+let home_kernel link = Platform.kernel link.a.provider
 let home_tracer link = Kernel.tracer (home_kernel link)
 let home_tick link = Kernel.tick (home_kernel link)
-let sides link = (link.side_a, link.side_b)
+
+let sides link =
+  let side r = { platform = r.provider; provider_name = r.name } in
+  (side link.a, side link.b)
 
 let note_fault link ~file ~action ~attempt =
-  let account = Platform.account_exn link.side_a.platform link.link_user in
   Kernel.record (home_kernel link) ~pid:0
     (Audit.Sync_fault
        {
-         path = Platform.user_file account.Account.user file;
+         path = Platform.user_file (user link) file;
          action = Fault.action_name action;
          attempt;
        });
@@ -260,7 +256,7 @@ let note_fault link ~file ~action ~attempt =
     ~labels:
       [
         ("action", Fault.action_name action);
-        ("peer", link.side_b.provider_name);
+        ("peer", link.b.name);
       ];
   W5_obs.Tracer.event (home_tracer link) ~tick:(home_tick link) "sync.fault"
     ~fields:
@@ -274,32 +270,27 @@ let note_fault link ~file ~action ~attempt =
    plain child span when that kernel is the link's home side, a remote
    continuation carrying the handoff {!W5_obs.Trace_context} when it
    is the peer — the breadcrumb Trace_merge later reattaches. *)
-let traced link platform ~op ~file f =
+let traced link r ~op ~file f =
   let home = home_kernel link in
-  let k = Platform.kernel platform in
+  let k = Platform.kernel r.provider in
   let fields = [ ("op", op); ("file", file) ] in
   if k == home then
     W5_obs.Tracer.with_span (Kernel.tracer k)
       ~clock:(fun () -> Kernel.tick k)
       ~fields ("sync." ^ op) f
   else
-    match
-      W5_obs.Tracer.context (Kernel.tracer home)
-        ~origin:link.side_a.provider_name ~tick:(Kernel.tick home)
-    with
-    | None -> f ()
-    | Some context ->
-        W5_obs.Tracer.with_remote_span (Kernel.tracer k)
-          ~clock:(fun () -> Kernel.tick k)
-          ~context ~fields ("sync." ^ op) f
+    W5_obs.Tracer.handoff (Kernel.tracer home) ~origin:link.a.name
+      ~tick:(Kernel.tick home) ~into:(Kernel.tracer k)
+      ~clock:(fun () -> Kernel.tick k)
+      ~fields ("sync." ^ op) f
 
 (* Backoff and delay are logical ticks on both kernels — no wall
    clock anywhere, so a faulty run replays identically from its
    seed. *)
 let advance_ticks link n =
   for _ = 1 to n do
-    Kernel.advance_clock (Platform.kernel link.side_a.platform);
-    Kernel.advance_clock (Platform.kernel link.side_b.platform)
+    Kernel.advance_clock (Platform.kernel link.a.provider);
+    Kernel.advance_clock (Platform.kernel link.b.provider)
   done
 
 (* One fault-aware delivery leg. Consults the plan at [op]:[file];
@@ -322,7 +313,7 @@ let deliver link ~counters ~budget ~op ~file
     `Timed_out
   in
   let rec go attempt =
-    if attempt > link.max_attempts then timed_out ()
+    if attempt > max_attempts then timed_out ()
     else
       match Fault.consult link.faults ~op ~file with
       | None -> `Done (run ~dup:false ~crash:`No)
@@ -331,7 +322,7 @@ let deliver link ~counters ~budget ~op ~file
           counters.c_faulted <- counters.c_faulted + 1;
           match action with
           | Fault.Drop ->
-              let pause = min link.backoff_cap (1 lsl (attempt - 1)) in
+              let pause = min backoff_cap (1 lsl (attempt - 1)) in
               if !budget < pause then timed_out ()
               else begin
                 budget := !budget - pause;
@@ -360,12 +351,20 @@ let deliver link ~counters ~budget ~op ~file
   in
   go 1
 
+(* Sequence delivery legs: a leg that timed out or failed ends the
+   file's turn this round. *)
+let ( let* ) leg k =
+  match leg with
+  | `Timed_out -> Ok `Timed_out
+  | `Done (Error e) -> Error e
+  | `Done (Ok v) -> k v
+
 (* ---- write-ahead intents --------------------------------------------- *)
 
-let write_intent platform (account : Account.t) ~peer ~file ~phase record =
-  ignore (Platform.user_mkdir platform account ~dir:state_dir);
+let write_intent r ~peer ~file ~phase record =
+  ignore (Platform.user_mkdir r.provider r.account ~dir:state_dir);
   ignore
-    (Platform.write_user_record platform account ~file:(intent_file ~peer)
+    (Platform.write_user_record r.provider r.account ~file:(intent_file ~peer)
        (Record.of_fields
           [
             ("file", file);
@@ -374,16 +373,16 @@ let write_intent platform (account : Account.t) ~peer ~file ~phase record =
             ("payload", Record.encode record);
           ]))
 
-let clear_intent platform (account : Account.t) ~peer =
-  ignore (Platform.delete_user_file platform account ~file:(intent_file ~peer))
+let clear_intent r ~peer =
+  ignore (Platform.delete_user_file r.provider r.account ~file:(intent_file ~peer))
 
 (* Replay one side's pending intent, if any: complete the write the
    crash interrupted (phase "pending") or just finish the bookkeeping
    (phase "applied"), then clear the intent. The regular diff pass
    afterwards sees content-equal replicas and moves on without a
    duplicate merge. *)
-let recover_side ~platform ~(account : Account.t) ~peer =
-  match Platform.read_user_record platform account ~file:(intent_file ~peer) with
+let recover_side r ~peer =
+  match Platform.read_user_record r.provider r.account ~file:(intent_file ~peer) with
   | Error _ -> 0
   | Ok intent ->
       let file = Record.get_or intent "file" ~default:"" in
@@ -395,37 +394,34 @@ let recover_side ~platform ~(account : Account.t) ~peer =
              match Option.map Record.decode (Record.get intent "payload") with
              | Some (Ok payload) ->
                  let already =
-                   match Platform.read_user_record platform account ~file with
+                   match Platform.read_user_record r.provider r.account ~file with
                    | Ok existing -> Record.equal existing payload
                    | Error _ -> false
                  in
                  if not already then begin
-                   ignore (ensure_parent_dir platform account ~file);
+                   ignore (ensure_parent_dir r ~file);
                    ignore
-                     (Platform.write_user_record platform account ~file payload)
+                     (Platform.write_user_record r.provider r.account ~file
+                        payload)
                  end
              | Some (Error _) | None -> ());
-          Kernel.record (Platform.kernel platform) ~pid:0
+          Kernel.record (Platform.kernel r.provider) ~pid:0
             (Audit.Sync_recovered
                {
                  peer;
-                 path = Platform.user_file account.Account.user file;
+                 path = Platform.user_file r.account.Account.user file;
                  phase;
                });
           1
         end
       in
-      clear_intent platform account ~peer;
+      clear_intent r ~peer;
       recovered
 
 let recover link =
-  let account_a = Platform.account_exn link.side_a.platform link.link_user in
-  let account_b = Platform.account_exn link.side_b.platform link.link_user in
   let n =
-    recover_side ~platform:link.side_a.platform ~account:account_a
-      ~peer:link.side_b.provider_name
-    + recover_side ~platform:link.side_b.platform ~account:account_b
-        ~peer:link.side_a.provider_name
+    recover_side link.a ~peer:link.b.name
+    + recover_side link.b ~peer:link.a.name
   in
   if n > 0 then begin
     W5_obs.Metrics.inc
@@ -433,7 +429,7 @@ let recover link =
          (Kernel.metrics (home_kernel link))
          "w5_sync_recoveries_total"
          ~help:"Write-ahead sync intents replayed after a crash")
-      ~labels:[ ("peer", link.side_b.provider_name) ]
+      ~labels:[ ("peer", link.b.name) ]
       ~by:n;
     W5_obs.Tracer.event (home_tracer link) ~tick:(home_tick link)
       "sync.recover"
@@ -444,86 +440,77 @@ let recover link =
 (* ---- the per-file synchronization ------------------------------------ *)
 
 let sync_file link ~counters ~budget ~file =
-  let a = link.side_a and b = link.side_b in
-  let account_a = Platform.account_exn a.platform link.link_user in
-  let account_b = Platform.account_exn b.platform link.link_user in
+  let a = link.a and b = link.b in
   let current = current_clock link ~file in
   let seen = seen_clock link ~file in
-  let va = Vector_clock.get current ~node:a.provider_name in
-  let vb = Vector_clock.get current ~node:b.provider_name in
-  let seen_a = Vector_clock.get seen ~node:a.provider_name in
-  let seen_b = Vector_clock.get seen ~node:b.provider_name in
-  let a_changed = va > seen_a in
-  let b_changed = vb > seen_b in
-  (* a file the link has synchronized before that is now absent was
-     deleted on that side — not "never existed" *)
-  let deleted_a = va = 0 && seen_a > 0 in
-  let deleted_b = vb = 0 && seen_b > 0 in
+  (* What happened on one side since the link last saw the file. A side
+     that held it and now has none deleted it (it did not "never have
+     it"). Versions and clock entries are never negative, so a side
+     that changed holds the file. *)
+  let change r =
+    let now = Vector_clock.get current ~node:r.name in
+    let before = Vector_clock.get seen ~node:r.name in
+    if now > before then `Changed
+    else if now = 0 && before > 0 then `Deleted
+    else `Same
+  in
   let remember () =
     Hashtbl.replace link.seen file (current_clock link ~file);
     link.seen_dirty <- true
   in
-  (* Provider name of a side, for audit attribution of sync writes. *)
-  let name_of platform =
-    if platform == a.platform then a.provider_name else b.provider_name
-  in
-  let audit_sync ~on ~peer (account : Account.t) ~direction =
-    Kernel.record (Platform.kernel on) ~pid:0
+  let audit_sync ~on ~peer ~direction =
+    Kernel.record (Platform.kernel on.provider) ~pid:0
       (Audit.Sync_applied
          {
-           peer;
-           path = Platform.user_file account.Account.user file;
+           peer = peer.name;
+           path = Platform.user_file on.account.Account.user file;
            direction;
          })
   in
   (* Fault-aware export leg: the request can be dropped (retried) or
      crash the exporting provider — nothing durable is in flight yet,
      so a crash here needs no intent. *)
-  let export_leg platform account =
+  let export_leg r =
     deliver link ~counters ~budget ~op:"export" ~file
       (fun ~dup:_ ~crash ->
-        traced link platform ~op:"export" ~file (fun () ->
+        traced link r ~op:"export" ~file (fun () ->
             if crash <> `No then raise (Fault.Crashed ("export:" ^ file));
             Result.map_error Os_error.to_string
-              (export_record platform account ~file)))
+              (export_record r.provider r.account ~file)))
   in
   (* Fault-aware apply leg with the write-ahead protocol: intent
      before the write, cleared after; the two crash points leave the
      intent at the phase recovery needs to see. [dup] delivers the
      write twice — the second delivery is a no-op because the bytes
      already match. *)
-  let apply_leg ~dst_platform ~dst_account ~src_name record =
+  let apply_leg ~dst ~src record =
     deliver link ~counters ~budget ~op:"apply" ~file
       (fun ~dup ~crash ->
-        traced link dst_platform ~op:"apply" ~file @@ fun () ->
+        traced link dst ~op:"apply" ~file @@ fun () ->
         let do_write () =
           Result.map_error Os_error.to_string
-            (match ensure_parent_dir dst_platform dst_account ~file with
+            (match ensure_parent_dir dst ~file with
             | Error _ as e -> e
             | Ok () ->
-                Platform.write_user_record dst_platform dst_account ~file
+                Platform.write_user_record dst.provider dst.account ~file
                   record)
         in
         match crash with
         | `Before ->
-            write_intent dst_platform dst_account ~peer:src_name ~file
-              ~phase:"pending" record;
+            write_intent dst ~peer:src.name ~file ~phase:"pending" record;
             raise (Fault.Crashed ("apply:" ^ file))
         | `After ->
-            write_intent dst_platform dst_account ~peer:src_name ~file
-              ~phase:"pending" record;
+            write_intent dst ~peer:src.name ~file ~phase:"pending" record;
             (match do_write () with
             | Ok () ->
-                write_intent dst_platform dst_account ~peer:src_name ~file
-                  ~phase:"applied" record
+                write_intent dst ~peer:src.name ~file ~phase:"applied" record
             | Error _ -> ());
             raise (Fault.Crashed ("apply:" ^ file))
         | `No -> (
-            write_intent dst_platform dst_account ~peer:src_name ~file
-              ~phase:"pending" record;
+            write_intent dst ~peer:src.name ~file ~phase:"pending" record;
             match do_write () with
             | Error _ as e ->
-                clear_intent dst_platform dst_account ~peer:src_name;
+                clear_intent dst ~peer:src.name;
                 e
             | Ok () ->
                 (* duplicate delivery: apply again; idempotent because
@@ -531,181 +518,92 @@ let sync_file link ~counters ~budget ~file =
                    rewrite is skipped, its version does not move) *)
                 (if dup then
                    match
-                     Platform.read_user_record dst_platform dst_account ~file
+                     Platform.read_user_record dst.provider dst.account ~file
                    with
                    | Ok existing when Record.equal existing record -> ()
                    | Ok _ | Error _ -> ignore (do_write ()));
-                clear_intent dst_platform dst_account ~peer:src_name;
+                clear_intent dst ~peer:src.name;
                 Ok ()))
   in
-  let copy ~src_platform ~src_account ~dst_platform ~dst_account =
-    match export_leg src_platform src_account with
-    | `Timed_out -> `Timed_out
-    | `Done (Error e) -> `Done (Error e)
-    | `Done (Ok (record, _)) -> (
-        (* Skip the write when the destination already matches: a
-           rewrite would bump its version and look like a fresh edit
-           to every *other* link of a mesh, ping-ponging forever. *)
-        let already_there =
-          match export_record dst_platform dst_account ~file with
-          | Ok (existing, _) -> Record.equal existing record
-          | Error _ -> false
-        in
-        if already_there then begin
-          remember ();
-          `Done (Ok `Same)
-        end
-        else
-          match
-            apply_leg ~dst_platform ~dst_account ~src_name:(name_of src_platform)
-              record
-          with
-          | `Timed_out -> `Timed_out
-          | `Done (Error _ as e) -> `Done e
-          | `Done (Ok ()) ->
-              audit_sync ~on:dst_platform ~peer:(name_of src_platform)
-                dst_account ~direction:"pull";
-              audit_sync ~on:src_platform ~peer:(name_of dst_platform)
-                src_account ~direction:"push";
-              remember ();
-              `Done (Ok `Copied))
-  in
-  let outcome_of_copy direction = function
-    | `Same -> `Unchanged
-    | `Copied -> direction
-  in
-  let finish direction = function
-    | `Timed_out -> Ok `Timed_out
-    | `Done (Error _ as e) -> e
-    | `Done (Ok verdict) -> Ok (outcome_of_copy direction verdict)
+  let copy ~src ~dst direction =
+    let* record, _ = export_leg src in
+    (* Skip the write when the destination already matches: a rewrite
+       would bump its version and look like a fresh edit to every
+       *other* link of a mesh, ping-ponging forever. *)
+    let already_there =
+      match export_record dst.provider dst.account ~file with
+      | Ok (existing, _) -> Record.equal existing record
+      | Error _ -> false
+    in
+    if already_there then begin
+      remember ();
+      Ok `Unchanged
+    end
+    else
+      let* () = apply_leg ~dst ~src record in
+      audit_sync ~on:dst ~peer:src ~direction:"pull";
+      audit_sync ~on:src ~peer:dst ~direction:"push";
+      remember ();
+      Ok direction
   in
   (* Deletions are idempotent messages: deleting an already-absent
      file acknowledges fine, so crash-rerun and duplicate delivery
      need no intent record. *)
-  let delete_on platform account =
-    deliver link ~counters ~budget ~op:"delete" ~file
-      (fun ~dup ~crash ->
-        traced link platform ~op:"delete" ~file @@ fun () ->
-        if crash <> `No then raise (Fault.Crashed ("delete:" ^ file));
-        let unlink () =
-          match Platform.delete_user_file platform account ~file with
-          | Ok () | Error (Os_error.Not_found _) -> Ok ()
-          | Error e -> Error (Os_error.to_string e)
-        in
-        match unlink () with
-        | Error _ as e -> e
-        | Ok () ->
-            if dup then ignore (unlink ());
-            remember ();
-            Ok ())
+  let delete_on r direction =
+    let* () =
+      deliver link ~counters ~budget ~op:"delete" ~file
+        (fun ~dup ~crash ->
+          traced link r ~op:"delete" ~file @@ fun () ->
+          if crash <> `No then raise (Fault.Crashed ("delete:" ^ file));
+          let unlink () =
+            match Platform.delete_user_file r.provider r.account ~file with
+            | Ok () | Error (Os_error.Not_found _) -> Ok ()
+            | Error e -> Error (Os_error.to_string e)
+          in
+          match unlink () with
+          | Error _ as e -> e
+          | Ok () ->
+              if dup then ignore (unlink ());
+              remember ();
+              Ok ())
+    in
+    Ok direction
   in
-  let finish_delete direction = function
-    | `Timed_out -> Ok `Timed_out
-    | `Done (Error _ as e) -> e
-    | `Done (Ok ()) -> Ok direction
-  in
-  if deleted_a || deleted_b then begin
-    if deleted_a && deleted_b then begin
+  match (change a, change b) with
+  | `Same, `Same -> Ok `Unchanged
+  | `Deleted, `Deleted ->
       remember ();
       Ok `Unchanged
-    end
-    else if deleted_a && b_changed then
-      (* concurrent edit vs delete: the edit wins, the file comes back *)
-      finish `B_to_a
-        (copy ~src_platform:b.platform ~src_account:account_b
-           ~dst_platform:a.platform ~dst_account:account_a)
-    else if deleted_b && a_changed then
-      finish `A_to_b
-        (copy ~src_platform:a.platform ~src_account:account_a
-           ~dst_platform:b.platform ~dst_account:account_b)
-    else if deleted_a then finish_delete `A_to_b (delete_on b.platform account_b)
-    else finish_delete `B_to_a (delete_on a.platform account_a)
-  end
-  else if (not a_changed) && not b_changed then Ok `Unchanged
-  else if link.link_mode = Mirror_a_to_b then begin
-    (* one-way: B is a replica; whatever happened, it tracks A *)
-    if va = 0 then Ok `Unchanged
-    else
-      match
-        copy ~src_platform:a.platform ~src_account:account_a
-          ~dst_platform:b.platform ~dst_account:account_b
-      with
-      | `Timed_out -> Ok `Timed_out
-      | `Done (Error _ as e) -> e
-      | `Done (Ok `Same) -> Ok `Unchanged
-      | `Done (Ok `Copied) -> Ok `A_to_b
-  end
-  else if a_changed && not b_changed then
-    if va = 0 then Ok `Unchanged
-    else
-      finish `A_to_b
-        (copy ~src_platform:a.platform ~src_account:account_a
-           ~dst_platform:b.platform ~dst_account:account_b)
-  else if b_changed && not a_changed then
-    if vb = 0 then Ok `Unchanged
-    else
-      finish `B_to_a
-        (copy ~src_platform:b.platform ~src_account:account_b
-           ~dst_platform:a.platform ~dst_account:account_a)
-  else if va = 0 then
-    (* changed on both but absent on A: plain copy B->A *)
-    finish `B_to_a
-      (copy ~src_platform:b.platform ~src_account:account_b
-         ~dst_platform:a.platform ~dst_account:account_a)
-  else if vb = 0 then
-    finish `A_to_b
-      (copy ~src_platform:a.platform ~src_account:account_a
-         ~dst_platform:b.platform ~dst_account:account_b)
-  else
-    (* concurrent edits: merge and write back to both replicas, each
-       apply its own fault-aware delivery *)
-    match export_leg a.platform account_a with
-    | `Timed_out -> Ok `Timed_out
-    | `Done (Error _ as e) -> e
-    | `Done (Ok (ra, _)) -> (
-        match export_leg b.platform account_b with
-        | `Timed_out -> Ok `Timed_out
-        | `Done (Error _ as e) -> e
-        | `Done (Ok (rb, _)) ->
-            if Record.equal ra rb then begin
-              remember ();
-              Ok `Unchanged
-            end
-            else
-              let merged = Conflict.merge ra rb in
-              let write platform account ~src_name =
-                apply_leg ~dst_platform:platform ~dst_account:account
-                  ~src_name merged
-              in
-              (match
-                 write a.platform account_a ~src_name:b.provider_name
-               with
-              | `Timed_out -> Ok `Timed_out
-              | `Done (Error _ as e) -> e
-              | `Done (Ok ()) -> (
-                  match
-                    write b.platform account_b ~src_name:a.provider_name
-                  with
-                  | `Timed_out -> Ok `Timed_out
-                  | `Done (Error _ as e) -> e
-                  | `Done (Ok ()) ->
-                      audit_sync ~on:a.platform ~peer:b.provider_name account_a
-                        ~direction:"merge";
-                      audit_sync ~on:b.platform ~peer:a.provider_name account_b
-                        ~direction:"merge";
-                      remember ();
-                      Ok `Merged)))
+  (* an edit beats a concurrent delete: the file comes back *)
+  | `Changed, (`Same | `Deleted) -> copy ~src:a ~dst:b `A_to_b
+  | (`Same | `Deleted), `Changed -> copy ~src:b ~dst:a `B_to_a
+  | `Deleted, `Same -> delete_on b `A_to_b
+  | `Same, `Deleted -> delete_on a `B_to_a
+  | `Changed, `Changed ->
+      (* concurrent edits: merge and write back to both replicas, each
+         apply its own fault-aware delivery *)
+      let* ra, _ = export_leg a in
+      let* rb, _ = export_leg b in
+      if Record.equal ra rb then begin
+        remember ();
+        Ok `Unchanged
+      end
+      else
+        let merged = Conflict.merge ra rb in
+        let* () = apply_leg ~dst:a ~src:b merged in
+        let* () = apply_leg ~dst:b ~src:a merged in
+        audit_sync ~on:a ~peer:b ~direction:"merge";
+        audit_sync ~on:b ~peer:a ~direction:"merge";
+        remember ();
+        Ok `Merged
 
 let expanded_files link =
-  let account_a = Platform.account_exn link.side_a.platform link.link_user in
-  let account_b = Platform.account_exn link.side_b.platform link.link_user in
   let from_dirs =
     List.concat_map
       (fun dir ->
         let names =
           List.sort_uniq String.compare
-            (dir_entries link.side_a.platform account_a ~dir
-            @ dir_entries link.side_b.platform account_b ~dir)
+            (dir_entries link.a ~dir @ dir_entries link.b ~dir)
         in
         List.map (fun name -> dir ^ "/" ^ name) names)
       link.sync_dirs
@@ -732,7 +630,7 @@ let expanded_files link =
    well under the registry cardinality cap. *)
 let meter_round link stats =
   let metrics = Kernel.metrics (home_kernel link) in
-  let peer = ("peer", link.side_b.provider_name) in
+  let peer = ("peer", link.b.name) in
   W5_obs.Metrics.inc
     (W5_obs.Metrics.counter metrics "w5_sync_rounds_total"
        ~help:"Completed federation sync rounds")
@@ -761,7 +659,7 @@ let meter_crash link =
        (Kernel.metrics (home_kernel link))
        "w5_sync_crashes_total"
        ~help:"Sync rounds aborted by a provider crash")
-    ~labels:[ ("peer", link.side_b.provider_name) ]
+    ~labels:[ ("peer", link.b.name) ]
 
 (* Round latency in side A's logical ticks: retries, backoff pauses,
    and per-file kernel crossings all drive that clock, so a faulty
@@ -782,7 +680,7 @@ let sync_body link =
      previous round left behind *)
   let recovered = recover link in
   let counters = { c_retried = 0; c_timed_out = 0; c_faulted = 0 } in
-  let budget = ref link.round_budget in
+  let budget = ref round_budget in
   let tracer = home_tracer link in
   let result =
     try
@@ -844,7 +742,7 @@ let sync link =
   let tracer = home_tracer link in
   W5_obs.Tracer.with_span tracer
     ~clock:(fun () -> home_tick link)
-    ~fields:[ ("peer", link.side_b.provider_name) ]
+    ~fields:[ ("peer", link.b.name) ]
     "sync.round"
     (fun () ->
       let result = sync_body link in
@@ -864,17 +762,15 @@ let lag link =
       let step node =
         max 0 (Vector_clock.get current ~node - Vector_clock.get seen ~node)
       in
-      acc + step link.side_a.provider_name + step link.side_b.provider_name)
+      acc + step link.a.name + step link.b.name)
     0 (expanded_files link)
 
 let converged link =
-  let account_a = Platform.account_exn link.side_a.platform link.link_user in
-  let account_b = Platform.account_exn link.side_b.platform link.link_user in
   List.for_all
     (fun file ->
       match
-        ( export_record link.side_a.platform account_a ~file,
-          export_record link.side_b.platform account_b ~file )
+        ( export_record link.a.provider link.a.account ~file,
+          export_record link.b.provider link.b.account ~file )
       with
       | Ok (ra, _), Ok (rb, _) -> Record.equal ra rb
       | Error _, Error _ -> true

@@ -9,16 +9,22 @@
     declassification capability (to export a record off the platform)
     and the user's write capability (to import the peer's copy).
     {!export_record} genuinely exercises the export privilege — it
-    reads with taint, declassifies with the granted [t-], and refuses
-    to hand anything over while {!W5_difc.Flow.export_blockers} is
-    non-empty — so a user who never granted the capability cannot be
-    synchronized, trust notwithstanding.
+    reads with taint, sheds the owner's tags with the granted [t-], and
+    refuses to hand anything over while any secrecy is left on its
+    label ({!declassify_for_export}) — so a user who never granted the
+    capability cannot be synchronized, trust notwithstanding.
 
     Change detection uses per-file version vectors ({!Vector_clock}
     keyed by provider name, fed from filesystem versions); concurrent
-    edits merge through {!Conflict}. Synchronization is convergent:
-    after [sync] with no new writes, both replicas are equal and a
-    second [sync] is a no-op.
+    edits merge through {!Conflict}. Each round decides each file once,
+    from whether each side deleted it and whether each side changed it
+    since the link last saw it. Synchronization is convergent: after
+    [sync] with no new writes, both replicas are equal and a second
+    [sync] is a no-op. This assumes a file's version only grows while
+    the link tracks it. A file deleted and re-created on a side between
+    two rounds restarts at version 1, at or below the version the link
+    last saw, so the link reads it as unchanged and the replicas do not
+    converge.
 
     {2 Failure model}
 
@@ -27,10 +33,12 @@
     (injected faults come from a seeded {!W5_fault.Fault} plan; time
     is the kernels' logical clock — no wall clock anywhere):
 
-    - {e dropped} deliveries retry with capped exponential backoff
-      (logical ticks) up to a per-link attempt limit; a delivery that
-      exhausts its attempts or the round's tick budget is abandoned
-      for the round ([timed_out] in {!stats}) and retried next round;
+    - {e dropped} deliveries retry with exponential backoff of
+      [2^(attempt-1)] logical ticks capped at 8, up to 4 deliveries per
+      message; at most 64 ticks of backoff and injected delay are spent
+      per round (the link timeout). A delivery that exhausts its
+      attempts or the round's budget is abandoned for the round
+      ([timed_out] in {!stats}) and retried next round;
     - {e duplicated} deliveries are no-ops: re-applying bytes the
       destination already holds is skipped, so the replica's version
       does not move and no spurious merge ever happens;
@@ -54,14 +62,6 @@ type side = {
   provider_name : string;
 }
 
-(** Synchronization direction. *)
-type mode =
-  | Bidirectional  (** the default: edits flow both ways, conflicts merge *)
-  | Mirror_a_to_b
-      (** one-way backup: side B tracks side A; edits on B are
-          overwritten at the next round (the paper's "mirrored across
-          provider boundaries" in its simplest form) *)
-
 type link
 
 type stats = {
@@ -76,7 +76,7 @@ type stats = {
 }
 
 val establish :
-  ?mode:mode -> ?faults:W5_fault.Fault.t ->
+  ?faults:W5_fault.Fault.t ->
   a:side -> b:side -> user:string -> files:string list ->
   unit -> (link, string) result
 (** Both platforms must already have the account (the user "linked
@@ -92,14 +92,6 @@ val set_faults : link -> W5_fault.Fault.t -> unit
     case). *)
 
 val faults : link -> W5_fault.Fault.t
-
-val configure :
-  ?max_attempts:int -> ?backoff_cap:int -> ?round_budget:int -> link -> unit
-(** Tune the retry policy: [max_attempts] deliveries per message
-    (default 4), backoff of [2^(attempt-1)] logical ticks capped at
-    [backoff_cap] (default 8), and at most [round_budget] ticks of
-    backoff + injected delay per round (default 64) — the per-link
-    timeout. All floors at 1. *)
 
 val add_file : link -> string -> unit
 

@@ -3,7 +3,7 @@
     Each provider's {!Tracer} only ever sees its own spans; what ties
     a federated operation together is the {!Trace_context} a handoff
     carries, recorded as fields on the remote side's root span
-    ({!Tracer.with_remote_span}). [merge] walks every provider's
+    ({!Tracer.handoff}). [merge] walks every provider's
     completed roots, finds those breadcrumbs, and reattaches each
     remote subtree under the span that spawned it — yielding the one
     causal tree the operation actually was, faults and retries

@@ -75,6 +75,8 @@ let with_span t ~clock ?fields name f =
     | exception exn -> end_span t ~tick:(clock ()); raise exn
   end
 
+(* The context the sending side hands over: parented under its
+   innermost open span, rooted at its current trace. *)
 let context t ~origin ~tick =
   if not t.t_enabled then None
   else
@@ -101,25 +103,25 @@ let context t ~origin ~tick =
             origin_tick = tick;
           }
 
-let with_remote_span t ~clock ~context ?(fields = []) name f =
-  if not t.t_enabled then f ()
-  else begin
-    (* The remote work is a root of its own on this tracer — the carried
-       context (not local nesting) says who its parent is, so any open
-       local stack is set aside rather than adopted. *)
-    let saved = t.stack in
-    t.stack <- [];
-    start_span t ~tick:(clock ())
-      ~fields:(Trace_context.to_fields context @ fields)
-      name;
-    let restore () =
-      end_span t ~tick:(clock ());
-      t.stack <- saved
-    in
-    match f () with
-    | result -> restore (); result
-    | exception exn -> restore (); raise exn
-  end
+let handoff t ~origin ~tick ~into ~clock ~fields name f =
+  match context t ~origin ~tick with
+  | Some context when into.t_enabled -> (
+      (* The remote work is a root of its own on [into] — the carried
+         context (not local nesting) says who its parent is, so any
+         open local stack is set aside rather than adopted. *)
+      let saved = into.stack in
+      into.stack <- [];
+      start_span into ~tick:(clock ())
+        ~fields:(Trace_context.to_fields context @ fields)
+        name;
+      let restore () =
+        end_span into ~tick:(clock ());
+        into.stack <- saved
+      in
+      match f () with
+      | result -> restore (); result
+      | exception exn -> restore (); raise exn)
+  | Some _ | None -> f ()
 
 let traces t =
   let rec go i acc =

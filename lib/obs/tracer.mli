@@ -51,21 +51,23 @@ val with_span :
 (** [with_span t ~clock name f] brackets [f] in a span; the span is
     closed (at the clock's then-current tick) even if [f] raises. *)
 
-val context : t -> origin:string -> tick:int -> Trace_context.t option
-(** The {!Trace_context} an operation running right now would hand to
-    a peer: parented under the innermost open span, rooted at the
-    current trace (a root that is itself a remote continuation
-    forwards the {e original} trace identity, so multi-hop chains stay
-    one trace). [None] when disabled or no span is open. *)
-
-val with_remote_span :
-  t -> clock:(unit -> int) -> context:Trace_context.t ->
-  ?fields:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** The receiving side of a handoff: bracket [f] in a span that is a
-    {e root} on this tracer (any open local stack is set aside and
-    restored, even on raise) carrying [context] as {!Trace_context.to_fields}
-    fields — the breadcrumb {!Trace_merge} uses to reattach this
-    subtree under its cross-provider parent. *)
+val handoff :
+  t -> origin:string -> tick:int -> into:t -> clock:(unit -> int) ->
+  fields:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [handoff t ~origin ~tick ~into ~clock ~fields name f] runs [f], work
+    that [t]'s innermost open span hands to a peer provider whose
+    tracer is [into]. On [into], [f] runs in a span that is a {e root}
+    (any open local stack is set aside and restored, even on raise),
+    timed by [into]'s [clock]. The span carries the {!Trace_context}
+    [t] hands over, as {!Trace_context.to_fields} fields before
+    [fields]: parented under [t]'s innermost open span on provider
+    [origin], handed over at [tick] on [origin]'s clock, and rooted at
+    [t]'s current trace. A root that is
+    itself a remote continuation forwards the {e original} trace
+    identity, so multi-hop chains stay one trace. {!Trace_merge} uses
+    these fields to reattach the subtree under its cross-provider
+    parent. When [t] has no open span, or either tracer is disabled,
+    [f] runs without a span. *)
 
 val open_depth : t -> int
 (** How many spans are currently open (0 = between requests). *)

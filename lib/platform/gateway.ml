@@ -136,13 +136,6 @@ let conclude_app platform ~viewer proc =
           let out = if allow_js then out else Html.strip_scripts out in
           Response.html out)
 
-let dispatch_app platform ~viewer ~app_id ?version request =
-  match spawn_app platform ~viewer ~app_id ?version request with
-  | Error response -> response
-  | Ok proc ->
-      Kernel.run_proc (Platform.kernel platform) proc;
-      conclude_app platform ~viewer proc
-
 (* ---- provider-written front-end pages ---- *)
 
 let home platform =
@@ -554,9 +547,8 @@ let completed platform ~route ~t0 render =
   in
   Done (r, t1)
 
-let submit platform request =
+let submit_as platform ~viewer request =
   let kernel = Platform.kernel platform in
-  let viewer = viewer_of platform request in
   let dns_route = dns_route_of platform request in
   let route = route_label request ~dns_route in
   let t0 = Kernel.tick kernel in
@@ -569,6 +561,9 @@ let submit platform request =
         | Ok proc -> In_flight proc)
   in
   { p_route = route; p_viewer = viewer; p_submit_tick = t0; p_state = state }
+
+let submit platform request =
+  submit_as platform ~viewer:(viewer_of platform request) request
 
 let in_flight pending =
   match pending.p_state with

@@ -45,12 +45,6 @@ val slo_of : Platform.t -> W5_obs.Health.Slo.t
     the same closed vocabulary as the request counters); [w5 health]
     renders it. Created on first use, default window/objective. *)
 
-val dispatch_app :
-  Platform.t -> viewer:Account.t option -> app_id:string ->
-  ?version:string -> Request.t -> Response.t
-(** The app-execution path by itself, for tests and the silo-baseline
-    comparison. *)
-
 (** {1 Scheduled admission}
 
     The concurrent-traffic face of the gateway: {!submit} performs
@@ -71,6 +65,15 @@ type pending
 (** An admitted request awaiting its outcome. *)
 
 val submit : Platform.t -> Request.t -> pending
+(** Admission for a browser request: the viewer is whoever the
+    session cookie names ({!submit_as} with that viewer). *)
+
+val submit_as :
+  Platform.t -> viewer:Account.t option -> Request.t -> pending
+(** Admission on behalf of [viewer], whatever cookie the request
+    carries: how the provider's own agents (the {!Mailer}) send a
+    request down the same path, with the same throttle, span, request
+    metrics and SLO accounting as a browser request. *)
 
 val in_flight : pending -> bool
 (** Still waiting on a live process (false once concluded-at-submit,

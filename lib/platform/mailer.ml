@@ -33,8 +33,8 @@ let deliver_app_page platform ~user ~app ?(query = []) ~subject () =
           (Uri.with_query ("/app/" ^ app) query)
       in
       let response =
-        Gateway.dispatch_app platform ~viewer:(Some account) ~app_id:app
-          request
+        Gateway.conclude platform
+          (Gateway.submit_as platform ~viewer:(Some account) request)
       in
       match Response.status_code response.Response.status with
       | 200 ->

@@ -2,11 +2,12 @@
     daily e-mail with the 5 most 'relevant' photos and blog entries").
 
     E-mail leaves the platform, so it is an export like any other: the
-    mailer runs the application for the recipient and pushes the page
-    through the very same {!Gateway.dispatch_app} → {!Perimeter} path
-    a browser request takes. A digest whose content some friend's
-    declassifier refuses simply is not sent — there is no side door
-    for mail.
+    mailer requests the application's page as the recipient, through
+    the very same {!Gateway.submit_as} → {!Gateway.conclude} →
+    {!Perimeter} path a browser request takes, with its span, request
+    metrics, SLO accounting and the recipient's throttle. A digest
+    whose content some friend's declassifier refuses simply is not
+    sent — there is no side door for mail.
 
     Delivered mail lands in a per-user outbox (the simulation stand-in
     for an SMTP spool); tests read the outbox as "what left the

@@ -111,15 +111,19 @@ let test_drop_retries_with_backoff () =
   in
   check int_c "fault recorded" 1 (List.length faults)
 
+(* A message gets 4 deliveries; the backoffs of 1, 2, 4 and 8 ticks
+   stay inside the round's budget of 64, so the attempt limit is what
+   gives up. *)
 let test_attempts_exhausted_times_out () =
   let a, _, link = setup () in
   ignore (ok_s (Sync.sync link));
-  Sync.configure ~max_attempts:2 link;
   write a ~file:"profile" [ ("user", "zoe"); ("rev", "unlucky") ];
-  Sync.set_faults link (Fault.scripted [ (1, Fault.Drop); (2, Fault.Drop) ]);
+  Sync.set_faults link
+    (Fault.scripted
+       [ (1, Fault.Drop); (2, Fault.Drop); (3, Fault.Drop); (4, Fault.Drop) ]);
   let stats = ok_s (Sync.sync link) in
   check int_c "gave up this round" 1 stats.Sync.timed_out;
-  check int_c "both attempts dropped" 2 stats.Sync.retried;
+  check int_c "all four attempts dropped" 4 stats.Sync.retried;
   check int_c "nothing moved" 0 (moved stats);
   check bool_c "not yet converged" true (not (Sync.converged link));
   (* the next round (schedule exhausted) completes the transfer *)
@@ -127,12 +131,12 @@ let test_attempts_exhausted_times_out () =
   check int_c "caught up" 1 stats.Sync.a_to_b;
   check bool_c "converged after retry round" true (Sync.converged link)
 
+(* A round spends at most 64 ticks of backoff and delay. *)
 let test_delay_beyond_budget_times_out () =
   let a, _, link = setup () in
   ignore (ok_s (Sync.sync link));
-  Sync.configure ~round_budget:4 link;
   write a ~file:"profile" [ ("user", "zoe"); ("rev", "very-late") ];
-  Sync.set_faults link (Fault.scripted [ (1, Fault.Delay 9) ]);
+  Sync.set_faults link (Fault.scripted [ (1, Fault.Delay 65) ]);
   let stats = ok_s (Sync.sync link) in
   check int_c "abandoned past the deadline" 1 stats.Sync.timed_out;
   check bool_c "recovers next round" true

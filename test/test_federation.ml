@@ -506,40 +506,6 @@ let suite =
       Alcotest.test_case "bundle encoding" `Quick test_bundle_encoding;
     ]
 
-(* ---- one-way mirror mode ---- *)
-
-let test_mirror_mode () =
-  let a = make_side "primary" and b = make_side "backup" in
-  ignore (ok_s (Platform.signup a.Sync.platform ~user:"zoe" ~password:"pw"));
-  ignore (ok_s (Platform.signup b.Sync.platform ~user:"zoe" ~password:"pw"));
-  let link =
-    ok_s
-      (Sync.establish ~mode:Sync.Mirror_a_to_b ~a ~b ~user:"zoe"
-         ~files:[ "profile" ] ())
-  in
-  let write side value =
-    let account = Platform.account_exn side.Sync.platform "zoe" in
-    ignore
-      (ok_os
-         (Platform.write_user_record side.Sync.platform account ~file:"profile"
-            (Record.of_fields [ ("user", "zoe"); ("v", value) ])))
-  in
-  write a "primary-1";
-  ignore (ok_s (Sync.sync link));
-  check (Alcotest.option string_c) "backup tracks primary" (Some "primary-1")
-    (profile_field b "v");
-  (* a rogue edit on the backup is overwritten at the next round *)
-  write b "backup-graffiti";
-  write a "primary-2";
-  ignore (ok_s (Sync.sync link));
-  check (Alcotest.option string_c) "primary wins" (Some "primary-2")
-    (profile_field b "v");
-  check (Alcotest.option string_c) "primary untouched" (Some "primary-2")
-    (profile_field a "v")
-
-let suite =
-  suite @ [ Alcotest.test_case "mirror mode" `Quick test_mirror_mode ]
-
 (* ---- conflict field heuristics ---- *)
 
 let test_is_list_field () =
@@ -678,6 +644,78 @@ let test_delete_vs_edit_conflict () =
   check (Alcotest.option string_c) "edit wins" (Some "v2-edited")
     (Record.get r "pixels")
 
+(* A photo that the last round left on both sides of a fresh link. *)
+let synced_photo () =
+  let a, b, link = setup_linked_user () in
+  Sync.add_directory link "photos";
+  let account_a = Platform.account_exn a.Sync.platform "zoe" in
+  ignore (ok_os (Platform.user_mkdir a.Sync.platform account_a ~dir:"photos"));
+  ignore
+    (ok_os
+       (Platform.write_user_record a.Sync.platform account_a ~file:"photos/p"
+          (Record.of_fields [ ("pixels", "v1") ])));
+  ignore (ok_s (Sync.sync link));
+  ignore
+    (ok_os
+       (Sync.export_record b.Sync.platform
+          (Platform.account_exn b.Sync.platform "zoe")
+          ~file:"photos/p"));
+  (a, b, link)
+
+let delete side ~file =
+  let account = Platform.account_exn side.Sync.platform "zoe" in
+  ignore (ok_os (Platform.delete_user_file side.Sync.platform account ~file))
+
+let photo_gone side =
+  let account = Platform.account_exn side.Sync.platform "zoe" in
+  match Sync.export_record side.Sync.platform account ~file:"photos/p" with
+  | Error (W5_os.Os_error.Not_found _) -> true
+  | Ok _ -> false
+  | Error e -> Alcotest.failf "wrong error: %s" (W5_os.Os_error.to_string e)
+
+let test_delete_on_b_reaches_a () =
+  let a, b, link = synced_photo () in
+  delete b ~file:"photos/p";
+  let stats = ok_s (Sync.sync link) in
+  check int_c "deletion moved b to a" 1 stats.Sync.b_to_a;
+  check bool_c "gone on A" true (photo_gone a);
+  check bool_c "still gone on B" true (photo_gone b);
+  check bool_c "converged" true (Sync.converged link)
+
+let test_edit_on_a_beats_delete_on_b () =
+  let a, b, link = synced_photo () in
+  delete b ~file:"photos/p";
+  let account_a = Platform.account_exn a.Sync.platform "zoe" in
+  ignore
+    (ok_os
+       (Platform.write_user_record a.Sync.platform account_a ~file:"photos/p"
+          (Record.of_fields [ ("pixels", "v2-edited") ])));
+  let stats = ok_s (Sync.sync link) in
+  check int_c "the edit moved a to b" 1 stats.Sync.a_to_b;
+  let account_b = Platform.account_exn b.Sync.platform "zoe" in
+  let r, _ = ok_os (Sync.export_record b.Sync.platform account_b ~file:"photos/p") in
+  check (Alcotest.option string_c) "edit is back on B" (Some "v2-edited")
+    (Record.get r "pixels")
+
+let test_both_sides_delete () =
+  let a = make_side "pa" and b = make_side "pb" in
+  ignore (ok_s (Platform.signup a.Sync.platform ~user:"zoe" ~password:"pw"));
+  ignore (ok_s (Platform.signup b.Sync.platform ~user:"zoe" ~password:"pw"));
+  let link = ok_s (Sync.establish ~a ~b ~user:"zoe" ~files:[ "notes" ] ()) in
+  let account_a = Platform.account_exn a.Sync.platform "zoe" in
+  ignore
+    (ok_os
+       (Platform.write_user_record a.Sync.platform account_a ~file:"notes"
+          (Record.of_fields [ ("text", "draft") ])));
+  check int_c "copied" 1 (ok_s (Sync.sync link)).Sync.a_to_b;
+  delete a ~file:"notes";
+  delete b ~file:"notes";
+  let stats = ok_s (Sync.sync link) in
+  check int_c "unchanged" 1 stats.Sync.unchanged;
+  check int_c "nothing moved" 0
+    (stats.Sync.a_to_b + stats.Sync.b_to_a + stats.Sync.merged);
+  check bool_c "converged" true (Sync.converged link)
+
 (* regression: a file listed in sync_files that also appears under an
    add_directory expansion used to be worked twice per round, double
    counting it in the stats (copy + spurious unchanged) *)
@@ -712,6 +750,11 @@ let suite =
         test_delete_vs_edit_conflict;
       Alcotest.test_case "file in files+dir worked once" `Quick
         test_file_in_files_and_dir_counted_once;
+      Alcotest.test_case "delete on B reaches A" `Quick
+        test_delete_on_b_reaches_a;
+      Alcotest.test_case "edit on A beats delete on B" `Quick
+        test_edit_on_a_beats_delete_on_b;
+      Alcotest.test_case "both sides delete" `Quick test_both_sides_delete;
     ]
 
 let test_peer_errors () =

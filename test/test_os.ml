@@ -1021,7 +1021,7 @@ let test_path_taint_accumulates () =
       check bool_c "t2 from d2" true (Label.mem t2 taint.Flow.secrecy)
   | Error e -> fail_err e
 
-let test_audit_clear_and_length () =
+let test_audit_length_order_for_pid () =
   let log = Audit.create ~capacity:16 in
   check int_c "empty" 0 (Audit.length log);
   Audit.record log ~tick:1 ~pid:7 (Audit.App_note "x");
@@ -1078,7 +1078,8 @@ let suite =
   suite
   @ [
       Alcotest.test_case "path taint accumulates" `Quick test_path_taint_accumulates;
-      Alcotest.test_case "audit clear and length" `Quick test_audit_clear_and_length;
+      Alcotest.test_case "audit length, order and for_pid" `Quick
+        test_audit_length_order_for_pid;
       Alcotest.test_case "quota kinds render" `Quick test_quota_kinds_render;
       Alcotest.test_case "spawn charges process quota" `Quick
         test_spawn_charges_process_quota;

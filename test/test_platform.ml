@@ -1130,12 +1130,52 @@ let test_mailer_requires_enabled_app () =
   | Error _ -> check int_c "nothing queued" 0 (Mailer.outbox_size platform ~user:"quiet")
   | Ok _ -> Alcotest.fail "mailed an app the user never enabled"
 
+(* A digest goes down the gateway's one request path: like a browser
+   request it gets a request span and is counted, and the outbox holds
+   the page the app rendered. *)
+let test_mailer_digest_is_a_gateway_request () =
+  let platform = fresh_platform () in
+  ignore (signup platform "reader");
+  let dev = Principal.make Principal.Developer "md3" in
+  ignore
+    (ok_s
+       (App_registry.publish (Platform.registry platform) ~dev ~name:"zine"
+          ~version:"1.0" dummy_handler));
+  ignore (ok_s (Platform.enable_app platform ~user:"reader" ~app:"md3/zine"));
+  let kernel = Platform.kernel platform in
+  let tracer = W5_os.Kernel.tracer kernel in
+  W5_obs.Tracer.set_enabled tracer true;
+  let requests =
+    W5_obs.Metrics.counter (W5_os.Kernel.metrics kernel)
+      "w5_gateway_requests_total"
+  in
+  let served () =
+    W5_obs.Metrics.value requests
+      ~labels:[ ("route", "app:md3/zine"); ("status", "200") ]
+  in
+  let before = served () in
+  let stats = Mailer.run_digests platform ~app:"md3/zine" ~subject:"weekly" () in
+  check int_c "delivered" 1 stats.Mailer.delivered;
+  check (Alcotest.list string_c) "one request root" [ "gateway:app:md3/zine" ]
+    (List.map
+       (fun (span : W5_obs.Span.t) -> span.W5_obs.Span.span_name)
+       (W5_obs.Tracer.traces tracer));
+  check int_c "counted as a request" (before + 1) (served ());
+  match Mailer.outbox platform ~user:"reader" with
+  | [ email ] ->
+      check string_c "to" "reader" email.Mailer.to_user;
+      check string_c "subject" "weekly" email.Mailer.subject;
+      check string_c "body" "dummy" email.Mailer.body
+  | mail -> Alcotest.failf "expected one email, got %d" (List.length mail)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "signup name hygiene" `Quick test_signup_name_hygiene;
       Alcotest.test_case "mailer requires enabled app" `Quick
         test_mailer_requires_enabled_app;
+      Alcotest.test_case "mailer digest is a gateway request" `Quick
+        test_mailer_digest_is_a_gateway_request;
     ]
 
 let test_stale_gate_cannot_clear_new_read_tag () =

@@ -14,7 +14,8 @@ test:
 # test suite, smoke iterations of the provenance, federation-faults,
 # trace-health and scheduler bench groups, an `explain` pass over the
 # scripted breach (the flight recorder must always be able to narrate
-# a denial), the federated trace / health goldens (byte-for-byte;
+# a denial, on a busy provider too: `--users 300` must exit 0 and name
+# the thief), the federated trace / health goldens (byte-for-byte;
 # `w5 health` must judge the scripted faulty peer degraded, exit 2),
 # the scripted soak summary golden (`w5 soak` byte-for-byte —
 # the seeded scheduler must be deterministic across processes), the
@@ -29,6 +30,7 @@ check: vet examples
 	dune exec bench/main.exe -- --only trace-health --smoke
 	dune exec bench/main.exe -- --only scheduler --smoke
 	dune exec bin/w5.exe -- explain > /dev/null
+	out="$$(dune exec bin/w5.exe -- explain --users 300)" && echo "$$out" | grep -qF "(mal/thief)"
 	dune exec bin/w5.exe -- trace --federated | diff -u test/golden/trace_federated.txt -
 	dune exec bin/w5.exe -- health | diff -u test/golden/health.txt -
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2

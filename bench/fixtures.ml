@@ -323,7 +323,7 @@ let scaling_societies () = Lazy.force scaling_societies_l
    processes, paths and tags generating the same event mix a provider
    sees (taints, checked flows, object labelings, declassifications,
    spawns, a denial and an export attempt per "request"). Sizes are
-   the retained entry counts the graph builder must chew through. *)
+   the retained entry counts an explanation walks. *)
 let synthetic_audit_log n =
   let log = W5_os.Audit.create ~capacity:n in
   let n_tags = 16 and n_paths = 64 and n_pids = 32 in
@@ -381,12 +381,6 @@ let provenance_logs_l =
   lazy (List.map (fun n -> (n, synthetic_audit_log n)) [ 1_000; 10_000; 100_000 ])
 
 let provenance_logs () = Lazy.force provenance_logs_l
-
-(* explain latency works over a prebuilt graph of the largest log —
-   the interactive `w5 explain` path *)
-let provenance_big_log () = List.assoc 100_000 (provenance_logs ())
-let provenance_big_graph_l = lazy (W5_os.Explain.graph (provenance_big_log ()))
-let provenance_big_graph () = Lazy.force provenance_big_graph_l
 
 (* ---- vet ecosystems ---- *)
 

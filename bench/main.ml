@@ -724,27 +724,20 @@ let bench_scaling () =
        (F.scaling_societies ()))
 
 (* ------------------------------------------------------------------ *)
-(* provenance: graph reconstruction cost vs audit-log size             *)
+(* provenance: explaining the newest denial vs audit-log size         *)
 (* ------------------------------------------------------------------ *)
 
 let bench_provenance () =
-  let logs = F.provenance_logs () in
-  let big_log = F.provenance_big_log () in
-  let big_graph = F.provenance_big_graph () in
   Test.make_grouped ~name:"provenance"
     (List.map
        (fun (n, log) ->
          Test.make
-           ~name:(Printf.sprintf "graph-build-%dk-entries" (n / 1000))
-           (staged (fun () -> W5_os.Explain.graph log)))
-       logs
-    @ [
-        Test.make ~name:"explain-denial-100k"
-          (staged (fun () ->
-               match W5_os.Explain.find_denial big_log () with
-               | None -> failwith "bench: no denial in synthetic log"
-               | Some entry -> W5_os.Explain.explain big_graph entry));
-      ])
+           ~name:(Printf.sprintf "explain-denial-%dk-entries" (n / 1000))
+           (staged (fun () ->
+                match W5_os.Explain.find_denial log () with
+                | None -> failwith "bench: no denial in synthetic log"
+                | Some entry -> W5_os.Explain.explain log entry)))
+       (F.provenance_logs ()))
 
 (* ------------------------------------------------------------------ *)
 (* vet: whole-platform static analysis time vs. ecosystem size         *)

@@ -169,16 +169,14 @@ let explain_denial seed users seq pid dot =
   match W5_os.Explain.find_denial log ?seq ?pid () with
   | None -> `Error (false, "no matching denial in the audit log")
   | Some entry -> (
-      let g = W5_os.Explain.graph log in
       Format.printf "denial: %a@.@." W5_os.Audit.pp_entry entry;
-      match
-        if dot then W5_os.Explain.explain_dot g entry
-        else W5_os.Explain.explain_text g entry
-      with
+      let render =
+        if dot then W5_os.Explain.explain_dot else W5_os.Explain.explain_text
+      in
+      match render log entry with
       | Error msg -> `Error (false, msg)
       | Ok rendered ->
-          print_string rendered;
-          print_newline ();
+          print_endline rendered;
           `Ok ())
 
 let explain_cmd =
@@ -206,32 +204,16 @@ let explain_cmd =
 let provenance seed users path pid =
   let platform, victim = breach_scenario ~seed ~users in
   let log = W5_os.Kernel.audit (Platform.kernel platform) in
-  let g = W5_os.Explain.graph log in
-  let print_histories target histories =
-    if histories = [] then
-      Printf.printf "%s carries no secrecy tags (per the retained log)\n"
-        target
-    else
-      List.iter
-        (fun (tag, edges) ->
-          Printf.printf "%s: tag %s arrived via\n" target tag;
-          List.iter
-            (fun e ->
-              print_string "  ";
-              print_string (W5_obs.Provenance.render_edge g e);
-              print_newline ())
-            edges)
-        histories
+  let target, histories =
+    match (path, pid) with
+    | None, Some p ->
+        (Printf.sprintf "pid %d" p, W5_os.Explain.process_provenance log ~pid:p)
+    | Some path, _ -> (path, W5_os.Explain.file_provenance log ~path)
+    | None, None ->
+        let path = Platform.user_file victim "profile" in
+        (path, W5_os.Explain.file_provenance log ~path)
   in
-  (match (path, pid) with
-  | None, Some p ->
-      print_histories
-        (Printf.sprintf "pid %d" p)
-        (W5_os.Explain.process_provenance g log ~pid:p)
-  | Some path, _ -> print_histories path (W5_os.Explain.file_provenance g ~path)
-  | None, None ->
-      let path = Platform.user_file victim "profile" in
-      print_histories path (W5_os.Explain.file_provenance g ~path));
+  print_string (W5_os.Explain.provenance_text log ~target histories);
   `Ok ()
 
 let provenance_cmd =
@@ -630,7 +612,7 @@ let stats_cmd =
 
 (* ---- w5 vet: static label-flow analysis of the whole platform ---- *)
 
-let vet seed users format dot runtime_n =
+let vet seed users format runtime_n =
   let society = W5_workload.Populate.build_showcase ~seed ~users () in
   let platform = society.W5_workload.Populate.platform in
   let st = W5_analysis.Static.capture platform in
@@ -651,7 +633,7 @@ let vet seed users format dot runtime_n =
              (W5_os.Kernel.audit (Platform.kernel platform)))
   in
   let report = W5_analysis.Vet.report ?runtime st in
-  (match if dot then `Dot else format with
+  (match format with
   | `Json -> print_string (W5_analysis.Vet.to_json report)
   | `Dot -> print_string (W5_analysis.Static.to_dot st)
   | `Text -> print_string (W5_analysis.Vet.to_text report));
@@ -666,10 +648,6 @@ let vet_cmd =
     format_arg text_json_dot `Text
       ~doc:"Output format: text (default), json, or dot."
   in
-  let dot =
-    Arg.(value & flag & info [ "dot" ]
-           ~doc:"Shorthand for --format dot: the static flow graph in Graphviz.")
-  in
   let runtime =
     Arg.(value & opt (some int) None & info [ "runtime" ] ~docv:"N"
            ~doc:"Also replay an $(docv)-action workload and check every \
@@ -677,7 +655,7 @@ let vet_cmd =
                  differential soundness pass).")
   in
   let term =
-    Term.(ret (const vet $ seed_arg $ users $ format $ dot $ runtime))
+    Term.(ret (const vet $ seed_arg $ users $ format $ runtime))
   in
   Cmd.v
     (Cmd.info "vet"

@@ -135,7 +135,7 @@ val disposition : t -> tag_info -> disposition
 
 val to_dot : t -> string
 (** The static flow graph in Graphviz DOT (same dialect as
-    {!W5_obs.Provenance.to_dot}): tags (ellipses; dashed when
+    {!W5_os.Explain.explain_dot}): tags (ellipses; dashed when
     restricted), gates (hexagons), apps (boxes; filled when closed
     source), the public network sink, policy/grant/import edges.
     Dense non-restricted Tag → App edges are elided — a legend node

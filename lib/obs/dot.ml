@@ -1,7 +1,7 @@
-(* Graphviz DOT construction shared by the provenance renderer and
-   the static analyzer. Everything here is plain string assembly; the
+(* Graphviz DOT construction shared by W5_os.Explain, Trace_merge and
+   W5_analysis.Static. Everything here is plain string assembly; the
    only subtlety is escaping, which must agree between node labels and
-   edge labels so the two renderers stay diffable. *)
+   edge labels so the renderers stay diffable. *)
 
 let escape s =
   let b = Buffer.create (String.length s) in

@@ -1,13 +1,10 @@
-(** Minimal Graphviz DOT assembly, shared by {!Provenance} and the
-    static analyzer's graph output so both emit the same dialect
-    (labels quoted and escaped, bare identifier values unquoted,
-    [rankdir] header, two-space indent).
+(** Minimal Graphviz DOT assembly, shared by [W5_os.Explain],
+    {!Trace_merge} and [W5_analysis.Static] so all three emit the same
+    dialect (labels quoted and escaped, bare identifier values
+    unquoted, [rankdir] header, two-space indent).
 
     The helpers return single lines without trailing newlines;
     {!digraph} joins them into a complete document. *)
-
-val escape : string -> string
-(** Escape a string for use inside a double-quoted DOT attribute. *)
 
 val ident : string -> string
 (** Flatten an arbitrary string into a safe DOT identifier (anything

@@ -116,6 +116,18 @@ let fold log ~init ~f =
 
 let iter log ~f = fold log ~init:() ~f:(fun () entry -> f entry)
 
+let fold_back log ~before ~init ~f =
+  let first = evicted log + 1 and last = min (before - 1) log.seq in
+  let acc = ref init in
+  if first <= last then begin
+    let i = ref ((last - 1) mod log.capacity) in
+    for seq = last downto first do
+      acc := f !acc (entry_at log seq !i);
+      i := if !i = 0 then log.capacity - 1 else !i - 1
+    done
+  end;
+  !acc
+
 (* The retained entries with seq in [lo, hi] whose pid and event pass
    [keep], oldest first. The scan runs newest to oldest over the
    columns, so the list is built without a reversal, and an entry is

@@ -9,8 +9,7 @@
 
     Entries carry enough causal identity — which file a flow check
     guarded, which peer an IPC absorbed tags from — for
-    {!W5_os.Explain} to reconstruct a provenance graph from the log
-    alone. *)
+    {!W5_os.Explain} to trace provenance from the log alone. *)
 
 open W5_difc
 
@@ -115,6 +114,11 @@ val iter : log -> f:(entry -> unit) -> unit
 
 val fold : log -> init:'a -> f:('a -> entry -> 'a) -> 'a
 (** Oldest-first fold, same allocation guarantee as {!iter}. *)
+
+val fold_back : log -> before:int -> init:'a -> f:('a -> entry -> 'a) -> 'a
+(** Newest-first fold over the retained entries with [seq < before]
+    ([max_int] for all of them), same allocation guarantee as
+    {!iter}. *)
 
 val query :
   log ->

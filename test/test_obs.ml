@@ -398,25 +398,21 @@ let test_no_user_bytes_in_telemetry () =
   (* the provenance/explanation layer reads the same audit log — its
      renderings must be equally payload-free *)
   let log = W5_os.Kernel.audit kernel in
-  let g = W5_os.Explain.graph log in
   let explain_text, explain_dot =
     match W5_os.Explain.find_denial log () with
     | None -> ("", "")
     | Some entry ->
-        ( (match W5_os.Explain.explain_text g entry with
+        ( (match W5_os.Explain.explain_text log entry with
           | Ok s -> s
           | Error e -> e),
-          match W5_os.Explain.explain_dot g entry with
+          match W5_os.Explain.explain_dot log entry with
           | Ok s -> s
           | Error e -> e )
   in
+  let path = Platform.user_file u0 "profile" in
   let provenance_render =
-    String.concat "\n"
-      (List.concat_map
-         (fun (tag, edges) ->
-           tag :: List.map (Provenance.render_edge g) edges)
-         (W5_os.Explain.file_provenance g
-            ~path:(Platform.user_file u0 "profile")))
+    W5_os.Explain.provenance_text log ~target:path
+      (W5_os.Explain.file_provenance log ~path)
   in
   List.iter
     (fun (name, rendered) ->
@@ -424,7 +420,6 @@ let test_no_user_bytes_in_telemetry () =
     [
       ("explain text", explain_text);
       ("explain dot", explain_dot);
-      ("whole-graph dot", Provenance.to_dot g);
       ("file provenance", provenance_render);
       ("audit report", W5_os.Explain.report log);
     ]
